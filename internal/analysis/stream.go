@@ -15,21 +15,22 @@ import (
 )
 
 // This file holds the incremental (streaming) forms of the package's
-// batch analyses. Each analyzer folds committed flows into running
-// state as the campaign's commit tap delivers them, supports attempt
-// retraction via a pipeline.Journal, and finalizes to output
+// batch analyses. Each analyzer is a plain fold over committed flows:
+// the capture DB hands the commit tap an attempt's flows only once the
+// attempt seals and drops a faulted attempt's flows before any tap sees
+// them, so no analyzer keeps undo state. Each finalizes to output
 // byte-identical to the corresponding batch function — which is now a
 // thin wrapper that replays a store through the same analyzer (one
-// code path, two drive modes). All analyzers canonicalize their output
-// at Finalize (sorted rows, per-browser maps), so results do not
-// depend on how concurrent browsers' commit streams interleave.
+// code path, two drive modes). Analyzers read only request-side fields
+// and canonicalize their output at Finalize (sorted rows, per-browser
+// maps), so results do not depend on how concurrent browsers' commit
+// streams interleave or on when in a visit the seal delivers them.
 
 // Fig2Analyzer counts engine/native requests per browser (Figure 2).
 type Fig2Analyzer struct {
 	browsers []string
 
 	mu     sync.Mutex
-	j      pipeline.Journal
 	engine map[string]int
 	native map[string]int
 }
@@ -51,23 +52,7 @@ func (a *Fig2Analyzer) observe(f *capture.Flow, o capture.Origin) {
 	if o == capture.OriginEngine {
 		m = a.engine
 	}
-	b := f.Browser
-	m[b]++
-	a.j.Note(f.Attempt, func() { m[b]-- })
-}
-
-// Retract undoes the attempt's counts.
-func (a *Fig2Analyzer) Retract(attempt int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.j.Retract(attempt)
-}
-
-// Seal discards the attempt's undo log.
-func (a *Fig2Analyzer) Seal(attempt int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.j.Seal(attempt)
+	m[f.Browser]++
 }
 
 // Reset drops all counts.
@@ -76,7 +61,6 @@ func (a *Fig2Analyzer) Reset() {
 	defer a.mu.Unlock()
 	a.engine = map[string]int{}
 	a.native = map[string]int{}
-	a.j.Reset()
 }
 
 // Rows assembles the Figure 2 rows in browser-list order.
@@ -98,20 +82,18 @@ func (a *Fig2Analyzer) Rows() []Fig2Row {
 func (a *Fig2Analyzer) Finalize() any { return a.Rows() }
 
 // Fig3Analyzer tracks distinct native-contacted domains per browser
-// and their ad/analytics share (Figure 3). Domains are refcounted so
-// retraction can forget a domain the retracted attempt alone contacted.
+// and their ad/analytics share (Figure 3).
 type Fig3Analyzer struct {
 	browsers []string
 	list     *hostlist.List
 
 	mu    sync.Mutex
-	j     pipeline.Journal
-	hosts map[string]map[string]int // browser -> host -> flow refcount
+	hosts map[string]map[string]bool // browser -> contacted hosts
 }
 
 // NewFig3Analyzer builds an analyzer classifying hosts against list.
 func NewFig3Analyzer(list *hostlist.List, browsers []string) *Fig3Analyzer {
-	return &Fig3Analyzer{browsers: browsers, list: list, hosts: map[string]map[string]int{}}
+	return &Fig3Analyzer{browsers: browsers, list: list, hosts: map[string]map[string]bool{}}
 }
 
 // Observe tallies one committed native flow's destination host.
@@ -125,38 +107,18 @@ func (a *Fig3Analyzer) Observe(f *capture.Flow) {
 func (a *Fig3Analyzer) observe(f *capture.Flow) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	b, h := f.Browser, f.Host
+	b := f.Browser
 	if a.hosts[b] == nil {
-		a.hosts[b] = map[string]int{}
+		a.hosts[b] = map[string]bool{}
 	}
-	a.hosts[b][h]++
-	a.j.Note(f.Attempt, func() {
-		if a.hosts[b][h]--; a.hosts[b][h] == 0 {
-			delete(a.hosts[b], h)
-		}
-	})
-}
-
-// Retract undoes the attempt's host refcounts.
-func (a *Fig3Analyzer) Retract(attempt int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.j.Retract(attempt)
-}
-
-// Seal discards the attempt's undo log.
-func (a *Fig3Analyzer) Seal(attempt int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.j.Seal(attempt)
+	a.hosts[b][f.Host] = true
 }
 
 // Reset drops all state.
 func (a *Fig3Analyzer) Reset() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.hosts = map[string]map[string]int{}
-	a.j.Reset()
+	a.hosts = map[string]map[string]bool{}
 }
 
 // Rows assembles the Figure 3 rows in browser-list order.
@@ -192,7 +154,6 @@ type Fig4Analyzer struct {
 	browsers []string
 
 	mu     sync.Mutex
-	j      pipeline.Journal
 	engine map[string]int64
 	native map[string]int64
 }
@@ -212,24 +173,7 @@ func (a *Fig4Analyzer) observe(f *capture.Flow, o capture.Origin) {
 	if o == capture.OriginEngine {
 		m = a.engine
 	}
-	b := f.Browser
-	n := int64(f.ReqBytes)
-	m[b] += n
-	a.j.Note(f.Attempt, func() { m[b] -= n })
-}
-
-// Retract undoes the attempt's byte sums.
-func (a *Fig4Analyzer) Retract(attempt int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.j.Retract(attempt)
-}
-
-// Seal discards the attempt's undo log.
-func (a *Fig4Analyzer) Seal(attempt int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.j.Seal(attempt)
+	m[f.Browser] += int64(f.ReqBytes)
 }
 
 // Reset drops all sums.
@@ -238,7 +182,6 @@ func (a *Fig4Analyzer) Reset() {
 	defer a.mu.Unlock()
 	a.engine = map[string]int64{}
 	a.native = map[string]int64{}
-	a.j.Reset()
 }
 
 // Rows assembles the Figure 4 rows in browser-list order.
@@ -282,7 +225,6 @@ type DNSAnalyzer struct {
 	browsers []string
 
 	mu   sync.Mutex
-	j    pipeline.Journal
 	best map[string]dnsPick
 }
 
@@ -311,33 +253,10 @@ func (a *DNSAnalyzer) observe(f *capture.Flow) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	b := f.Browser
-	prev, had := a.best[b]
-	if had && f.ID <= prev.id {
+	if prev, had := a.best[f.Browser]; had && f.ID <= prev.id {
 		return
 	}
-	a.best[b] = dnsPick{mode: mode, id: f.ID}
-	a.j.Note(f.Attempt, func() {
-		if had {
-			a.best[b] = prev
-		} else {
-			delete(a.best, b)
-		}
-	})
-}
-
-// Retract undoes the attempt's evidence.
-func (a *DNSAnalyzer) Retract(attempt int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.j.Retract(attempt)
-}
-
-// Seal discards the attempt's undo log.
-func (a *DNSAnalyzer) Seal(attempt int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.j.Seal(attempt)
+	a.best[f.Browser] = dnsPick{mode: mode, id: f.ID}
 }
 
 // Reset drops all evidence.
@@ -345,7 +264,6 @@ func (a *DNSAnalyzer) Reset() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.best = map[string]dnsPick{}
-	a.j.Reset()
 }
 
 // Usage returns the per-browser resolver classification.
@@ -375,7 +293,6 @@ func (a *DNSAnalyzer) Finalize() any { return a.Usage() }
 // sighting count equals the batch pass over the same flow order.
 type TrackableAnalyzer struct {
 	mu        sync.Mutex
-	j         pipeline.Journal
 	values    map[string]map[string][]string // browser -> host?param -> first-seen values
 	sightings map[string]map[string]int      // browser -> host?param -> carrying flows
 }
@@ -410,15 +327,8 @@ func (a *TrackableAnalyzer) observe(f *capture.Flow) {
 		if a.values[b] == nil {
 			a.values[b] = map[string][]string{}
 		}
-		vals := a.values[b][key]
-		if !slices.Contains(vals, hit.Value) {
-			idx := len(vals)
+		if vals := a.values[b][key]; !slices.Contains(vals, hit.Value) {
 			a.values[b][key] = append(vals, hit.Value)
-			k := key
-			a.j.Note(f.Attempt, func() {
-				// Undos run newest-first, so the value is still last.
-				a.values[b][k] = a.values[b][k][:idx]
-			})
 		}
 	}
 	for key, vals := range a.values[b] {
@@ -432,26 +342,10 @@ func (a *TrackableAnalyzer) observe(f *capture.Flow) {
 					a.sightings[b] = map[string]int{}
 				}
 				a.sightings[b][key]++
-				k := key
-				a.j.Note(f.Attempt, func() { a.sightings[b][k]-- })
 				break
 			}
 		}
 	}
-}
-
-// Retract undoes the attempt's values and sightings.
-func (a *TrackableAnalyzer) Retract(attempt int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.j.Retract(attempt)
-}
-
-// Seal discards the attempt's undo log.
-func (a *TrackableAnalyzer) Seal(attempt int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.j.Seal(attempt)
 }
 
 // Reset drops all mined identifiers.
@@ -460,7 +354,6 @@ func (a *TrackableAnalyzer) Reset() {
 	defer a.mu.Unlock()
 	a.values = map[string]map[string][]string{}
 	a.sightings = map[string]map[string]int{}
-	a.j.Reset()
 }
 
 // IDs reports the mined identifiers, most-persistent first (fewest
@@ -471,9 +364,6 @@ func (a *TrackableAnalyzer) IDs() []TrackableID {
 	var out []TrackableID
 	for browser, byKey := range a.values {
 		for key, vals := range byKey {
-			if len(vals) == 0 {
-				continue // fully retracted
-			}
 			i := strings.IndexByte(key, '?')
 			out = append(out, TrackableID{
 				Browser: browser, Host: key[:i], Param: key[i+1:],
@@ -506,7 +396,6 @@ func (a *TrackableAnalyzer) Finalize() any { return a.IDs() }
 // sequential, so that is the first in flow order).
 type Listing1Analyzer struct {
 	mu    sync.Mutex
-	j     pipeline.Journal
 	found bool
 	id    int64
 	body  string
@@ -533,25 +422,7 @@ func (a *Listing1Analyzer) observe(f *capture.Flow) {
 	if a.found && f.ID >= a.id {
 		return
 	}
-	prevFound, prevID, prevBody, prevQuery := a.found, a.id, a.body, a.query
 	a.found, a.id, a.body, a.query = true, f.ID, string(f.Body), f.RawQuery
-	a.j.Note(f.Attempt, func() {
-		a.found, a.id, a.body, a.query = prevFound, prevID, prevBody, prevQuery
-	})
-}
-
-// Retract undoes the attempt's capture.
-func (a *Listing1Analyzer) Retract(attempt int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.j.Retract(attempt)
-}
-
-// Seal discards the attempt's undo log.
-func (a *Listing1Analyzer) Seal(attempt int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.j.Seal(attempt)
 }
 
 // Reset drops the capture.
@@ -559,7 +430,6 @@ func (a *Listing1Analyzer) Reset() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.found, a.id, a.body, a.query = false, 0, "", ""
-	a.j.Reset()
 }
 
 // Result returns the exemplar body and query ("" when absent).
@@ -583,7 +453,6 @@ type TransportAnalyzer struct {
 	browsers []string
 
 	mu     sync.Mutex
-	j      pipeline.Journal
 	counts map[string]map[string]int // browser -> transport -> flows
 }
 
@@ -604,21 +473,6 @@ func (a *TransportAnalyzer) observe(f *capture.Flow) {
 		a.counts[b] = map[string]int{}
 	}
 	a.counts[b][t]++
-	a.j.Note(f.Attempt, func() { a.counts[b][t]-- })
-}
-
-// Retract undoes the attempt's counts.
-func (a *TransportAnalyzer) Retract(attempt int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.j.Retract(attempt)
-}
-
-// Seal discards the attempt's undo log.
-func (a *TransportAnalyzer) Seal(attempt int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.j.Seal(attempt)
 }
 
 // Reset drops all counts.
@@ -626,7 +480,6 @@ func (a *TransportAnalyzer) Reset() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.counts = map[string]map[string]int{}
-	a.j.Reset()
 }
 
 // Rows assembles the coverage rows in browser-list order.

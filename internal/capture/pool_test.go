@@ -64,29 +64,29 @@ func TestUnpooledFlowsIgnoreRefcounting(t *testing.T) {
 }
 
 func TestStoreReleasesOnRemoveAndReset(t *testing.T) {
-	s := NewStore()
+	// A recycled flow is zeroed in place before it returns to the pool,
+	// so the test can watch the last release happen.
+	db := NewDB()
 	f := AcquireFlow()
-	f.ID = 1
-	s.Add(f)
-	f.Release() // producer done; store still holds its ref
-
-	s.RemoveWhere(func(fl *Flow) bool { return fl.ID == 1 })
-	// The store's ref was the last one: the flow is back in the pool, so
-	// a fresh acquire sees zeroed fields.
-	g := AcquireFlow()
-	defer g.Release()
-	if g.ID != 0 {
-		t.Fatalf("flow not recycled after RemoveWhere: ID=%d", g.ID)
+	f.ID, f.Attempt = 1, 3
+	db.Native.Add(f)
+	f.Release() // producer done; the gate still holds its ref
+	if f.ID != 1 {
+		t.Fatal("parked flow recycled while the gate holds it")
+	}
+	db.RemoveAttempt(3)
+	if f.ID != 0 {
+		t.Fatalf("flow not recycled after RemoveAttempt: ID=%d", f.ID)
 	}
 
-	h := AcquireFlow()
-	h.ID = 2
-	s.Add(h)
-	h.Release()
-	s.Reset()
-	i := AcquireFlow()
-	defer i.Release()
-	if i.ID != 0 {
-		t.Fatalf("flow not recycled after Reset: ID=%d", i.ID)
+	for _, attempt := range []int64{0, 4} {
+		h := AcquireFlow()
+		h.ID, h.Attempt = 2, attempt
+		db.Native.Add(h)
+		h.Release()
+		db.Reset() // drops resident (attempt 0) and parked (attempt 4) flows
+		if h.ID != 0 {
+			t.Fatalf("attempt-%d flow not recycled after Reset: ID=%d", attempt, h.ID)
+		}
 	}
 }

@@ -44,8 +44,10 @@ func TestCommitTapAndOriginStamp(t *testing.T) {
 	if fe.Origin != OriginEngine || fn.Origin != OriginNative {
 		t.Fatalf("origins not stamped: %q %q", fe.Origin, fn.Origin)
 	}
-	if len(tap.observed) != 2 {
-		t.Fatalf("tap observed %v, want both flows", tap.observed)
+	// The tagged flow waits in the gate, and its removal keeps it from
+	// the tap for good.
+	if len(tap.observed) != 1 || tap.observed[0] != 1 {
+		t.Fatalf("tap observed %v, want only the untagged flow", tap.observed)
 	}
 
 	if n := db.RemoveAttempt(9); n != 1 {
@@ -57,6 +59,9 @@ func TestCommitTapAndOriginStamp(t *testing.T) {
 	}
 	if len(tap.seals) != 1 || tap.seals[0] != 10 {
 		t.Fatalf("tap seals = %v, want [10]", tap.seals)
+	}
+	if len(tap.observed) != 1 {
+		t.Fatalf("tap observed %v after removal, want only the untagged flow", tap.observed)
 	}
 }
 

@@ -574,9 +574,9 @@ func (w *World) crawlBrowser(b *browser.Browser, cfg CampaignConfig, workerVisit
 			w.Faults.EndAttempt(b.UID())
 
 			if navErr == nil {
-				// The attempt's flows are committed: release parked
-				// flows to the spill sink (retention off) and discard
-				// the streaming analyzers' undo logs for the attempt.
+				// The attempt's flows are committed: the capture gate
+				// files or spills them and hands them to the commit tap
+				// (analyzers, export plane) in capture order.
 				w.DB.SealAttempt(aid)
 				// Commit: DOMContentLoaded (modelled load time) plus the
 				// settle window, on the virtual clock — §2.1's wait

@@ -29,10 +29,6 @@ func (c *idleCollector) Observe(f *capture.Flow) {
 	c.mu.Unlock()
 }
 
-// Retract is a no-op: no navigation attempts run during idle, so idle
-// flows are never attempt-tagged.
-func (c *idleCollector) Retract(int64) {}
-
 func (c *idleCollector) Finalize() any { return c.window(time.Time{}, time.Time{}) }
 
 // window returns the collected flows inside [start, end]; zero bounds

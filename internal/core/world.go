@@ -103,8 +103,8 @@ type World struct {
 	Splitter *taint.SplitterAddon
 	Token    string
 	// Pipeline is the commit tap on DB: every committed flow streams
-	// through the registered analyzers; quarantined attempts are
-	// retracted. Suite holds the standard analyzers (figures, Table 2,
+	// through the registered analyzers; a quarantined attempt's flows
+	// never reach them. Suite holds the standard analyzers (figures, Table 2,
 	// leak scans, DNS, trackable IDs, Listing 1) registered on it.
 	Pipeline *pipeline.Pipeline
 	Suite    *analysis.Suite

@@ -37,25 +37,26 @@ type leaseResult struct {
 }
 
 // shipper is the worker-side capture.Tap: it rides the worker DB's
-// commit stream next to the worker's own streaming pipeline, parks each
-// attempt's flows until the campaign seals the attempt, then ships them
-// to the coordinator in commit order tagged with the current lease
-// issue. A retracted attempt's flows are dropped here — they never
-// cross the transport — and the retraction doubles as a heartbeat so a
-// worker deep in a retry ladder is not mistaken for dead.
+// commit stream next to the worker's own streaming pipeline and ships
+// committed flows to the coordinator tagged with the current lease
+// issue. The DB hands it a sealed attempt's flows in capture order and
+// then the Seal notice, so the shipper collects them and ships the
+// attempt as one transport message at Seal (worker campaigns run at
+// parallelism 1, so one attempt seals at a time). Flows committed
+// outside any attempt (settle-period telemetry) ship at once. A
+// quarantined attempt's flows never reach the shipper, so they never
+// cross the transport.
 type shipper struct {
 	cl *client
 
 	mu      sync.Mutex
 	tag     int64
-	pending map[int64][]*capture.Flow
+	sealing []*capture.Flow // the sealing attempt's flows, shipped at Seal
 	shipped int
 	err     error // first transport failure: the lease issue is doomed
 }
 
-func newShipper(cl *client) *shipper {
-	return &shipper{cl: cl, pending: make(map[int64][]*capture.Flow)}
-}
+func newShipper(cl *client) *shipper { return &shipper{cl: cl} }
 
 // begin rebinds the shipper to a new lease issue.
 func (sh *shipper) begin(tag int64) {
@@ -63,12 +64,10 @@ func (sh *shipper) begin(tag int64) {
 	sh.tag = tag
 	sh.shipped = 0
 	sh.err = nil
-	for a, flows := range sh.pending {
-		for _, f := range flows {
-			f.Release()
-		}
-		delete(sh.pending, a)
+	for _, f := range sh.sealing {
+		f.Release()
 	}
+	sh.sealing = nil
 	sh.mu.Unlock()
 }
 
@@ -84,9 +83,7 @@ func (sh *shipper) shippedCount() int {
 	return sh.shipped
 }
 
-// Observe implements capture.Tap. Attempt-tagged flows park until their
-// attempt seals; untagged flows (settle-period telemetry) committed
-// outside any attempt ship immediately, preserving commit order.
+// Observe implements capture.Tap.
 func (sh *shipper) Observe(f *capture.Flow) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -95,48 +92,26 @@ func (sh *shipper) Observe(f *capture.Flow) {
 	}
 	f.Ref()
 	if f.Attempt != 0 {
-		sh.pending[f.Attempt] = append(sh.pending[f.Attempt], f)
+		sh.sealing = append(sh.sealing, f)
 		return
 	}
 	sh.shipLocked([]*capture.Flow{f})
 }
 
-// Seal implements capture.Tap: the attempt committed, ship its flows.
-func (sh *shipper) Seal(attempt int64) {
+// Seal implements capture.Tap: the attempt's flows have all arrived,
+// ship them.
+func (sh *shipper) Seal(int64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	flows := sh.pending[attempt]
-	delete(sh.pending, attempt)
+	flows := sh.sealing
+	sh.sealing = nil // the message owns the slice from here on
 	sh.shipLocked(flows)
 }
 
-// Retract implements capture.Tap: the attempt was quarantined. Its
-// flows die here; a heartbeat keeps the lease fresh through long retry
-// ladders that commit nothing.
-func (sh *shipper) Retract(attempt int64) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, f := range sh.pending[attempt] {
-		f.Release()
-	}
-	delete(sh.pending, attempt)
-	if sh.tag != 0 && sh.err == nil {
-		// Best-effort: a dropped heartbeat costs nothing.
-		_ = sh.cl.send(message{kind: msgHeartbeat, tag: sh.tag})
-	}
-}
-
-// Reset implements the optional tap reset (DB.Reset between leases).
-func (sh *shipper) Reset() {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for a, flows := range sh.pending {
-		for _, f := range flows {
-			f.Release()
-		}
-		delete(sh.pending, a)
-	}
-}
+// Retract implements capture.Tap. The attempt's flows never reached
+// the shipper; the worker's heartbeat pump keeps the lease fresh
+// through retry ladders that commit nothing.
+func (sh *shipper) Retract(int64) {}
 
 func (sh *shipper) shipLocked(flows []*capture.Flow) {
 	if len(flows) == 0 {

@@ -430,27 +430,31 @@ func (s *Server) ReadRequest() (*Request, error) {
 
 // WriteResponse emits a complete response for a stream: one HEADERS
 // frame (status pseudo-header plus sorted fields) and, when a body is
-// present, one DATA frame carrying it. It returns the wire bytes
-// written (frame headers included), the h2 analogue of an h1 response
-// serialisation count.
-func (s *Server) WriteResponse(stream uint32, status int, hdr http.Header, body []byte) (int, error) {
+// present, one DATA frame carrying it. A non-nil size receives the
+// response's wire bytes (frame headers included, the h2 analogue of an
+// h1 response serialisation count) before the first frame is written.
+func (s *Server) WriteResponse(stream uint32, status int, hdr http.Header, body []byte, size *int) error {
 	fields := append([]field{{":status", strconv.Itoa(status)}}, sortedFields(hdr)...)
 	block := encodeFields(fields)
 	hflags := byte(flagEndHeaders)
 	if len(body) == 0 {
 		hflags |= flagEndStream
 	}
-	n := 9 + len(block)
-	if err := writeFrame(s.bw, frameHeaders, hflags, stream, block); err != nil {
-		return 0, err
-	}
-	if len(body) > 0 {
-		n += 9 + len(body)
-		if err := writeFrame(s.bw, frameData, flagEndStream, stream, body); err != nil {
-			return 0, err
+	if size != nil {
+		*size = 9 + len(block)
+		if len(body) > 0 {
+			*size += 9 + len(body)
 		}
 	}
-	return n, s.bw.Flush()
+	if err := writeFrame(s.bw, frameHeaders, hflags, stream, block); err != nil {
+		return err
+	}
+	if len(body) > 0 {
+		if err := writeFrame(s.bw, frameData, flagEndStream, stream, body); err != nil {
+			return err
+		}
+	}
+	return s.bw.Flush()
 }
 
 // WriteRST aborts a stream with RST_STREAM (INTERNAL_ERROR), the h2
@@ -669,7 +673,7 @@ func ServeConn(conn net.Conn, handler http.Handler) error {
 		if rec.status == 0 {
 			rec.status = http.StatusOK
 		}
-		if _, err := s.WriteResponse(req.Stream, rec.status, rec.hdr, rec.buf.Bytes()); err != nil {
+		if err := s.WriteResponse(req.Stream, rec.status, rec.hdr, rec.buf.Bytes(), nil); err != nil {
 			return err
 		}
 	}

@@ -4,15 +4,7 @@ import (
 	"sync"
 
 	"panoptes/internal/capture"
-	"panoptes/internal/pipeline"
 )
-
-// scanEntry is one flow's scan result in arrival order. Retraction
-// marks it dead instead of splicing, so undo closures stay O(1).
-type scanEntry struct {
-	finding Finding
-	live    bool
-}
 
 // StreamScanner is the incremental form of the history-leak scan: each
 // committed flow is searched as it arrives and the finding (at most
@@ -20,15 +12,13 @@ type scanEntry struct {
 // single pass of the detector's shared Aho-Corasick engine over the
 // flow haystack — every active visit's representations are interned
 // into one automaton, so per-flow cost no longer grows with the number
-// of concurrent visits. Implements pipeline.Analyzer (plus Seal and
-// Reset).
+// of concurrent visits. Implements pipeline.Analyzer (plus Reset).
 type StreamScanner struct {
 	det    *Detector
 	origin capture.Origin // filter for tap-driven use; "" scans every flow
 
-	mu      sync.Mutex
-	j       pipeline.Journal
-	entries []*scanEntry
+	mu       sync.Mutex
+	findings []Finding // arrival order
 }
 
 // NewStreamScanner builds a scanner over d's encoding set. A non-empty
@@ -53,10 +43,8 @@ func (s *StreamScanner) observe(f *capture.Flow) {
 		return
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := &scanEntry{finding: fnd, live: true}
-	s.entries = append(s.entries, e)
-	s.j.Note(f.Attempt, func() { e.live = false })
+	s.findings = append(s.findings, fnd)
+	s.mu.Unlock()
 }
 
 // scanOne runs the per-flow leak search (interning, automaton compile
@@ -110,40 +98,20 @@ func (s *StreamScanner) scanOne(f *capture.Flow) (Finding, bool) {
 	return Finding{}, false
 }
 
-// Retract undoes the attempt's findings.
-func (s *StreamScanner) Retract(attempt int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.j.Retract(attempt)
-}
-
-// Seal discards the attempt's undo log.
-func (s *StreamScanner) Seal(attempt int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.j.Seal(attempt)
-}
-
-// Reset drops all findings and undo state. The detector's interned
+// Reset drops all findings. The detector's interned
 // needles and compiled automaton survive: they are a pure function of
 // the values searched so far and stay valid across campaigns.
 func (s *StreamScanner) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.entries = nil
-	s.j.Reset()
+	s.findings = nil
 }
 
-// Findings returns the live findings in canonical sort order.
+// Findings returns the findings in canonical sort order.
 func (s *StreamScanner) Findings() []Finding {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Finding
-	for _, e := range s.entries {
-		if e.live {
-			out = append(out, e.finding)
-		}
-	}
+	out := append([]Finding(nil), s.findings...)
+	s.mu.Unlock()
 	sortFindings(out)
 	return out
 }

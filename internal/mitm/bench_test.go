@@ -52,8 +52,9 @@ func BenchmarkMitmBodyAlloc(b *testing.B) {
 				Header:        http.Header{"Content-Type": {"application/json"}},
 				ContentLength: int64(size),
 			}
+			var n int
 			for i := 0; i < b.N; i++ {
-				if _, err := p.writeResponse(io.Discard, resp, payload); err != nil {
+				if err := p.writeResponse(io.Discard, resp, payload, &n); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -669,8 +669,9 @@ type clientIO struct {
 	// respondError writes a short plain-text response (veto, injected
 	// fault, upstream error).
 	respondError func(status int, body string) error
-	// respond writes the full proxied response, returning wire bytes.
-	respond func(resp *http.Response, body []byte) (int, error)
+	// respond writes the full proxied response, storing its wire bytes
+	// in *size before the first byte reaches the client.
+	respond func(resp *http.Response, body []byte, size *int) error
 	// reset aborts the exchange abruptly for the stream_reset fault: h1
 	// promises body bytes and drops the connection, h2 sends RST_STREAM.
 	reset func()
@@ -684,8 +685,8 @@ func (p *Proxy) h1ClientIO(client net.Conn) clientIO {
 				status, http.StatusText(status), len(body), body)
 			return err
 		},
-		respond: func(resp *http.Response, body []byte) (int, error) {
-			return p.writeResponse(client, resp, body)
+		respond: func(resp *http.Response, body []byte, size *int) error {
+			return p.writeResponse(client, resp, body, size)
 		},
 		reset: func() {
 			// Promise 1000 body bytes, deliver a few, drop the connection:
@@ -699,11 +700,10 @@ func h2ClientIO(srv *h2.Server, stream uint32) clientIO {
 	return clientIO{
 		respondError: func(status int, body string) error {
 			hdr := http.Header{"Content-Type": []string{"text/plain"}}
-			_, err := srv.WriteResponse(stream, status, hdr, []byte(body))
-			return err
+			return srv.WriteResponse(stream, status, hdr, []byte(body), nil)
 		},
-		respond: func(resp *http.Response, body []byte) (int, error) {
-			return srv.WriteResponse(stream, resp.StatusCode, resp.Header, body)
+		respond: func(resp *http.Response, body []byte, size *int) error {
+			return srv.WriteResponse(stream, resp.StatusCode, resp.Header, body, size)
 		},
 		reset: func() { srv.WriteRST(stream) },
 	}
@@ -773,16 +773,18 @@ func (p *Proxy) serveWS(client net.Conn, br *bufio.Reader, req *http.Request, sc
 	}
 	defer up.Close()
 
+	// Status is set before the 101 reaches the client, like RespBytes in
+	// serveOne: the flow must be final once the client can move on.
+	upFlow.Status = http.StatusSwitchingProtocols
 	cc, err := ws.Accept(client, br, req)
 	if err != nil {
-		upFlow.Err = err.Error()
+		upFlow.Status, upFlow.Err = 0, err.Error()
 		for _, a := range addons {
 			a.Response(upFlow, nil)
 		}
 		return
 	}
 	defer cc.Close()
-	upFlow.Status = http.StatusSwitchingProtocols
 	for _, a := range addons {
 		a.Response(upFlow, nil)
 	}
@@ -868,10 +870,9 @@ func (p *Proxy) serveOne(cio clientIO, req *http.Request, scheme, host, port str
 
 	flow, reqBody := p.buildFlow(req, scheme, host, uid, transport, alpn)
 	sp.SetAttr("transport", flow.Transport)
-	// The producer reference: released when the exchange ends, after the
-	// last Status/RespBytes mutation. Every retainer that outlives the
-	// exchange (store shards, pending quarantine, export batches) holds
-	// its own reference by then.
+	// The producer reference: released when the exchange ends. Every
+	// retainer that outlives the exchange (commit gate, store shards,
+	// export batches) holds its own reference by then.
 	defer flow.Release()
 	if reqBody != nil {
 		// The replay reader handed to forward aliases this buffer;
@@ -906,7 +907,7 @@ func (p *Proxy) serveOne(cio clientIO, req *http.Request, scheme, host, port str
 		}
 	}
 
-	// Armed flow faults fire after capture (the flow is already filed, so a
+	// Armed flow faults fire after capture (the flow is already in the DB, so a
 	// failed attempt's traffic can be quarantined by attempt tag) but
 	// before forwarding, standing in for a misbehaving origin.
 	if kind, ok := p.faultsInj().FlowFault(uid, flow.Host); ok {
@@ -965,10 +966,12 @@ func (p *Proxy) serveOne(cio clientIO, req *http.Request, scheme, host, port str
 		a.Response(flow, resp)
 	}
 
-	n, werr := cio.respond(resp, respBody.Bytes())
+	// The flow is final before the client sees a byte: once the client
+	// has its response its attempt can seal, and the sealed flow goes
+	// to taps and sinks on another goroutine.
+	werr := cio.respond(resp, respBody.Bytes(), &flow.RespBytes)
 	bodyPool.Put(respBody)
-	flow.RespBytes = n
-	mBytesDown.Add(int64(n))
+	mBytesDown.Add(int64(flow.RespBytes))
 	sp.SetAttr("status", fmt.Sprint(resp.StatusCode))
 	return werr == nil
 }
@@ -1379,10 +1382,10 @@ func isDefaultPort(scheme, port string) bool {
 }
 
 // writeResponse serialises the response head and the already-read body
-// to the client, returning the byte count written. Headers go out in
-// map order — the count (what flow.RespBytes records) is
-// order-independent, so flows stay deterministic.
-func (p *Proxy) writeResponse(w io.Writer, resp *http.Response, body []byte) (int, error) {
+// to the client, storing the wire byte count in *size before the first
+// write. Headers go out in map order — the count (what flow.RespBytes
+// records) is order-independent, so flows stay deterministic.
+func (p *Proxy) writeResponse(w io.Writer, resp *http.Response, body []byte, size *int) error {
 	hb := bodyPool.Get(512)
 	defer bodyPool.Put(hb)
 	var tmp [20]byte
@@ -1405,14 +1408,12 @@ func (p *Proxy) writeResponse(w io.Writer, resp *http.Response, body []byte) (in
 	hb.WriteString("Content-Length: ")
 	hb.Write(strconv.AppendInt(tmp[:0], int64(len(body)), 10))
 	hb.WriteString("\r\n\r\n")
-	headLen := hb.Len()
+	*size = hb.Len() + len(body)
 	if _, err := w.Write(hb.Bytes()); err != nil {
-		return 0, err
+		return err
 	}
-	if _, err := w.Write(body); err != nil {
-		return headLen, err
-	}
-	return headLen + len(body), nil
+	_, err := w.Write(body)
+	return err
 }
 
 // ParseURL is a small helper exposed for addons that need to re-parse a

@@ -5,29 +5,20 @@ import (
 	"sync"
 
 	"panoptes/internal/capture"
-	"panoptes/internal/pipeline"
 )
-
-// flowEntry is one flow's findings in arrival order. Retraction nils
-// the findings and decrements the attribute refcounts.
-type flowEntry struct {
-	flowID int64
-	fs     []Finding
-}
 
 // MatrixAnalyzer is the incremental form of BuildMatrix: each
 // committed native flow is scanned as it arrives and its findings
-// folded into per-browser attribute refcounts, so the Table 2 matrix
-// is available at any point of the campaign and survives attempt
-// retraction. Implements pipeline.Analyzer (plus Seal and Reset).
+// folded into per-browser attribute sets, so the Table 2 matrix is
+// available at any point of the campaign. Implements pipeline.Analyzer
+// (plus Reset).
 type MatrixAnalyzer struct {
 	browsers []string
 
-	mu      sync.Mutex
-	j       pipeline.Journal
-	rows    map[string]bool
-	counts  map[string]map[Attribute]int
-	entries []*flowEntry
+	mu       sync.Mutex
+	rows     map[string]bool
+	leaked   map[string]map[Attribute]bool
+	findings []Finding // arrival order
 }
 
 // NewMatrixAnalyzer builds an analyzer producing rows for the given
@@ -41,13 +32,12 @@ func NewMatrixAnalyzer(browsers []string) *MatrixAnalyzer {
 
 func (a *MatrixAnalyzer) reset() {
 	a.rows = make(map[string]bool, len(a.browsers))
-	a.counts = make(map[string]map[Attribute]int, len(a.browsers))
+	a.leaked = make(map[string]map[Attribute]bool, len(a.browsers))
 	for _, b := range a.browsers {
 		a.rows[b] = true
-		a.counts[b] = make(map[Attribute]int)
+		a.leaked[b] = make(map[Attribute]bool)
 	}
-	a.entries = nil
-	a.j.Reset()
+	a.findings = nil
 }
 
 // Observe scans one committed flow from the tap stream. Only native
@@ -70,32 +60,10 @@ func (a *MatrixAnalyzer) observe(f *capture.Flow) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	browser := f.Browser
 	for _, find := range fs {
-		a.counts[browser][find.Attribute]++
+		a.leaked[f.Browser][find.Attribute] = true
 	}
-	e := &flowEntry{flowID: f.ID, fs: fs}
-	a.entries = append(a.entries, e)
-	a.j.Note(f.Attempt, func() {
-		for _, find := range e.fs {
-			a.counts[browser][find.Attribute]--
-		}
-		e.fs = nil
-	})
-}
-
-// Retract undoes the attempt's findings.
-func (a *MatrixAnalyzer) Retract(attempt int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.j.Retract(attempt)
-}
-
-// Seal discards the attempt's undo log.
-func (a *MatrixAnalyzer) Seal(attempt int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.j.Seal(attempt)
+	a.findings = append(a.findings, fs...)
 }
 
 // Reset drops all accumulated state.
@@ -112,34 +80,23 @@ func (a *MatrixAnalyzer) Matrix() Matrix {
 	defer a.mu.Unlock()
 	m := make(Matrix, len(a.browsers))
 	for _, b := range a.browsers {
-		row := make(map[Attribute]bool)
-		for attr, n := range a.counts[b] {
-			if n > 0 {
-				row[attr] = true
-			}
+		row := make(map[Attribute]bool, len(a.leaked[b]))
+		for attr := range a.leaked[b] {
+			row[attr] = true
 		}
 		m[b] = row
 	}
 	return m
 }
 
-// Findings returns the live findings sorted by flow ID (stable, so
-// flows without IDs keep arrival order and findings within a flow keep
+// Findings returns the findings sorted by flow ID (stable, so flows
+// without IDs keep arrival order and findings within a flow keep
 // ScanFlow order).
 func (a *MatrixAnalyzer) Findings() []Finding {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	live := make([]*flowEntry, 0, len(a.entries))
-	for _, e := range a.entries {
-		if e.fs != nil {
-			live = append(live, e)
-		}
-	}
-	sort.SliceStable(live, func(i, j int) bool { return live[i].flowID < live[j].flowID })
-	var out []Finding
-	for _, e := range live {
-		out = append(out, e.fs...)
-	}
+	out := append([]Finding(nil), a.findings...)
+	a.mu.Unlock()
+	sort.SliceStable(out, func(i, j int) bool { return out[i].FlowID < out[j].FlowID })
 	return out
 }
 

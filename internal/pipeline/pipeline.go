@@ -1,15 +1,16 @@
 // Package pipeline is the streaming analysis plane of the measurement
 // stack. A Pipeline is registered as the commit tap on the capture
-// databases: every flow committed by the proxy is fanned out, in
-// commit order, to a set of registered Analyzers which fold it into
-// incremental state. The campaign runner's attempt quarantine (PR 3)
-// is wired into Retract, so a faulted attempt's observations are
-// undone before the attempt is retried and never pollute the
-// incremental results. An analyzer's Finalize output is required to be
-// byte-identical to the corresponding batch pass over the committed
-// store — the batch functions in internal/analysis, internal/leak and
-// internal/pii are thin wrappers that replay a store through the same
-// analyzers (one code path, two drive modes).
+// databases: every committed flow is fanned out, in commit order, to a
+// set of registered Analyzers which fold it into incremental state.
+// The capture DB is the attempt quarantine: a navigation attempt's
+// flows reach the tap only once the attempt seals, and a faulted
+// attempt's flows never do, so an analyzer is a plain fold over
+// committed history with nothing to undo. An analyzer's Finalize
+// output is required to be byte-identical to the corresponding batch
+// pass over the committed store — the batch functions in
+// internal/analysis, internal/leak and internal/pii are thin wrappers
+// that replay a store through the same analyzers (one code path, two
+// drive modes).
 package pipeline
 
 import (
@@ -23,19 +24,16 @@ import (
 // Analyzer is an incremental analysis folded over the committed flow
 // stream. Observe is called once per committed flow, from the
 // committing goroutine (so it must be safe for concurrent use).
-// Retract undoes every observation tagged with the given attempt id —
-// the campaign runner calls it when an attempt faults and its flows
-// are quarantined. Finalize returns the analysis result; it must be a
-// pure function of the multiset of observed-and-not-retracted flows.
+// Finalize returns the analysis result; it must be a pure function of
+// the multiset of observed flows.
 type Analyzer interface {
 	Observe(f *capture.Flow)
-	Retract(attempt int64)
 	Finalize() any
 }
 
-// Sealer is optionally implemented by analyzers that keep per-attempt
-// undo state (see Journal). Seal tells the analyzer the attempt
-// committed successfully and its undo log can be discarded.
+// Sealer is optionally implemented by analyzers that want the
+// after-the-fact notice that an attempt sealed (its flows have all
+// been observed). No suite analyzer needs it.
 type Sealer interface {
 	Seal(attempt int64)
 }
@@ -49,7 +47,7 @@ type Resetter interface {
 func init() {
 	obs.Default.Help("pipeline_observed_total", "Flows observed by each streaming analyzer.")
 	obs.Default.Help("pipeline_observe_seconds", "Per-flow observe latency of each streaming analyzer.")
-	obs.Default.Help("pipeline_retractions_total", "Attempt retractions processed by each streaming analyzer.")
+	obs.Default.Help("pipeline_retractions_total", "Attempts quarantined while each streaming analyzer was registered (their flows never reached it).")
 	obs.Default.Help("pipeline_analyzers", "Analyzers currently registered on the streaming pipeline.")
 }
 
@@ -121,18 +119,18 @@ func (p *Pipeline) Observe(f *capture.Flow) {
 	}
 }
 
-// Retract undoes every analyzer observation tagged with the attempt.
+// Retract counts a quarantined attempt against every analyzer. There
+// is nothing to undo: the capture DB dropped the attempt's flows before
+// any analyzer saw them.
 func (p *Pipeline) Retract(attempt int64) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	for _, e := range p.entries {
-		e.a.Retract(attempt)
 		e.retracted.Inc()
 	}
 }
 
-// Seal marks the attempt committed on every analyzer that keeps
-// per-attempt undo state.
+// Seal passes the attempt's seal notice to every Sealer.
 func (p *Pipeline) Seal(attempt int64) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()

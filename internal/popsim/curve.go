@@ -73,10 +73,6 @@ func (c *Curve) Observe(f *capture.Flow) {
 	c.total[b]++
 }
 
-// Retract is a no-op: population flows commit with attempt 0, outside
-// any attempt quarantine window, so there is never anything to undo.
-func (c *Curve) Retract(attempt int64) {}
-
 // Reset drops all bins (pipeline.Resetter).
 func (c *Curve) Reset() {
 	c.mu.Lock()

@@ -161,7 +161,7 @@ func (m *Model) synthesize(j synthJob, out []*capture.Flow) []*capture.Flow {
 
 // newFlow acquires a pooled flow and stamps the fields every
 // population flow shares. Attempt stays 0: population visits commit
-// outside any attempt window, so analyzers keep no undo logs for them.
+// outside any attempt window, so the capture gate commits them at Add.
 func (m *Model) newFlow(ps *profileSynth, j synthJob, o capture.Origin, visitURL string) *capture.Flow {
 	f := capture.AcquireFlow()
 	f.Time = j.when

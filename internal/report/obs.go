@@ -111,7 +111,7 @@ func CampaignObsSummary(w io.Writer, r *obs.Registry) {
 }
 
 // PipelineObsSummary renders the streaming-analysis view: one row per
-// registered analyzer with observe counts, retraction counts and
+// registered analyzer with observe counts, retracted-attempt counts and
 // per-flow observe-latency percentiles, plus the retention picture —
 // flows still resident in each capture database versus flows spilled
 // to the JSONL sink.

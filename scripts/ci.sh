@@ -30,8 +30,14 @@ go test ./...
 echo "==> go test -race (obs, mitm, connpool, capture: sharded accept loops + idle pools + flow recycling)"
 go test -race ./internal/obs/... ./internal/mitm/... ./internal/connpool/... ./internal/capture/...
 
-echo "==> go test -race (core, leak, pipeline: concurrent scheduler + streaming analyzers)"
-go test -race ./internal/core/... ./internal/leak/... ./internal/pipeline/...
+echo "==> go test -race (core, leak, pipeline, analysis, fabric: concurrent scheduler + streaming analyzers)"
+# The analyzers and the fabric shipper observe sealed attempts from the
+# campaign goroutine while proxy goroutines commit untagged flows. -p 1
+# runs the packages one at a time: the fabric's lease janitor expires
+# leases on wall-clock silence, and competing race-instrumented packages
+# can starve a worker's heartbeat pump past StaleAfter.
+go test -race -p 1 ./internal/core/... ./internal/leak/... ./internal/pipeline/... \
+    ./internal/analysis/... ./internal/fabric/...
 
 echo "==> go test -race (match, pii: shared automaton + dictionary dispatch)"
 go test -race ./internal/match/... ./internal/pii/...
