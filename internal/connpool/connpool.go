@@ -7,6 +7,14 @@
 // running under a fast-forwarding simulation evicts exactly as a
 // wall-clock pool would under real time.
 //
+// At capacity the pool makes room instead of refusing, like the idle
+// LRU of net/http.Transport: a Put onto a full key closes that key's
+// least-recently-parked entry, and a Put onto a full pool closes the
+// least-recently-parked entry of any key. A crawl touches many one-off
+// hosts whose entries are never fetched again; refusing fresh
+// connections would keep those entries parked and make every busy host
+// redial.
+//
 // The pool never dials: a Get miss tells the caller to dial, and Put
 // offers the connection back after a clean exchange. A fault hook
 // (faultsim.Injector.PoolFault) can poison a key, dropping its idle
@@ -39,8 +47,15 @@ type Entry struct {
 	Conn    net.Conn
 	R       *bufio.Reader
 	Session any
+}
 
-	since time.Time
+// idleConn is a parked Entry. It sits in its key's stack and in the
+// pool-wide list ordered by park time.
+type idleConn struct {
+	Entry
+	key          string
+	since        time.Time
+	older, newer *idleConn
 }
 
 // Config sizes a Pool. The zero value takes every default.
@@ -65,7 +80,7 @@ type Stats struct {
 	Hits       int64 // Gets served from the pool
 	Misses     int64 // Gets the caller had to dial for
 	EvictedAge int64 // idle entries closed for age
-	EvictedCap int64 // offered entries refused for capacity
+	EvictedCap int64 // idle entries closed to make room for a fresher one
 	Poisoned   int64 // idle entries dropped by the fault hook
 	Idle       int   // entries currently parked
 }
@@ -79,7 +94,9 @@ type Pool struct {
 	now       func() time.Time
 
 	mu     sync.Mutex
-	idle   map[string][]Entry
+	idle   map[string][]*idleConn // per key, oldest first
+	oldest *idleConn              // pool-wide park order
+	newest *idleConn
 	total  int
 	closed bool
 
@@ -117,7 +134,7 @@ func New(cfg Config) *Pool {
 		maxIdle:     cfg.MaxIdle,
 		idleAge:     cfg.IdleAge,
 		now:         cfg.Now,
-		idle:        make(map[string][]Entry),
+		idle:        make(map[string][]*idleConn),
 		obsHit:      obs.Default.Counter("connpool_get_total", "pool", cfg.Name, "result", "hit"),
 		obsMiss:     obs.Default.Counter("connpool_get_total", "pool", cfg.Name, "result", "miss"),
 		obsEvAge:    obs.Default.Counter("connpool_evicted_total", "pool", cfg.Name, "reason", "age"),
@@ -150,74 +167,93 @@ func (p *Pool) Get(key string) (Entry, bool) {
 
 	p.mu.Lock()
 	stack := p.idle[key]
-	if len(stack) > 0 && poison != nil && poison(key) != nil {
-		// Poisoned: every idle connection for this key is silently dead.
-		p.drainLocked(key, stack)
+	if len(stack) == 0 {
 		p.mu.Unlock()
-		p.poisoned.Add(int64(len(stack)))
-		p.obsEvPoison.Add(int64(len(stack)))
-		p.misses.Add(1)
-		p.obsMiss.Inc()
+		p.miss()
 		return Entry{}, false
 	}
-	for len(stack) > 0 {
-		e := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		p.total--
-		if e.since.Before(cutoff) {
-			// LIFO order means everything under an aged entry is older
-			// still; drop the rest of the stack with it.
-			aged := int64(len(stack)) + 1
-			for _, old := range stack {
-				old.Conn.Close()
-			}
-			p.total -= len(stack)
-			stack = nil
-			p.setLocked(key, stack)
-			p.mu.Unlock()
-			e.Conn.Close()
-			p.evictedAge.Add(aged)
-			p.obsEvAge.Add(aged)
-			p.obsIdle.Add(-float64(aged))
-			p.misses.Add(1)
-			p.obsMiss.Inc()
-			return Entry{}, false
-		}
-		p.setLocked(key, stack)
+	if poison != nil && poison(key) != nil {
+		// Poisoned: every idle connection for this key is silently dead.
+		p.dropLocked(key, stack)
 		p.mu.Unlock()
-		p.hits.Add(1)
-		p.obsHit.Inc()
-		p.obsIdle.Dec()
-		return e, true
+		closeAll(stack)
+		p.poisoned.Add(int64(len(stack)))
+		p.obsEvPoison.Add(int64(len(stack)))
+		p.miss()
+		return Entry{}, false
 	}
-	p.setLocked(key, stack)
+	top := stack[len(stack)-1]
+	if top.since.Before(cutoff) {
+		// The stack is in park order, so everything under an aged top
+		// is older still; drop the whole stack with it.
+		p.dropLocked(key, stack)
+		p.mu.Unlock()
+		closeAll(stack)
+		p.evictedAge.Add(int64(len(stack)))
+		p.obsEvAge.Add(int64(len(stack)))
+		p.miss()
+		return Entry{}, false
+	}
+	stack[len(stack)-1] = nil
+	p.setLocked(key, stack[:len(stack)-1])
+	p.unlinkLocked(top)
 	p.mu.Unlock()
-	p.misses.Add(1)
-	p.obsMiss.Inc()
-	return Entry{}, false
+	p.hits.Add(1)
+	p.obsHit.Inc()
+	p.obsIdle.Dec()
+	return top.Entry, true
 }
 
 // Put offers a connection back after a clean exchange. It reports
-// whether the pool kept it; on false the caller still owns (and should
-// close) the connection.
+// whether the pool kept it; on false (the pool is closed) the caller
+// still owns, and should close, the connection.
 func (p *Pool) Put(key string, conn net.Conn, r *bufio.Reader) bool {
 	return p.PutEntry(key, Entry{Conn: conn, R: r})
 }
 
 // PutEntry offers a full entry back, preserving any attached transport
-// session. Semantics match Put.
+// session. Semantics match Put. When the key or the pool is full, the
+// least-recently-parked entry of the key, or else of the pool, is
+// closed to make room.
 func (p *Pool) PutEntry(key string, e Entry) bool {
-	e.since = p.now()
+	ic := &idleConn{Entry: e, key: key, since: p.now()}
 	p.mu.Lock()
-	if p.closed || p.total >= p.maxIdle || len(p.idle[key]) >= p.maxPerKey {
+	if p.closed {
 		p.mu.Unlock()
-		p.evictedCap.Add(1)
-		p.obsEvCap.Inc()
+		p.obsEvClose.Inc()
 		return false
 	}
-	p.idle[key] = append(p.idle[key], e)
+	var victim *idleConn
+	if stack := p.idle[key]; len(stack) >= p.maxPerKey {
+		victim = stack[0]
+	} else if p.total >= p.maxIdle {
+		victim = p.oldest
+	}
+	if victim != nil {
+		// A key's stack is in park order, so its oldest entry, like the
+		// pool's, sits at the bottom.
+		stack := p.idle[victim.key]
+		copy(stack, stack[1:])
+		stack[len(stack)-1] = nil
+		p.setLocked(victim.key, stack[:len(stack)-1])
+		p.unlinkLocked(victim)
+	}
+	p.idle[key] = append(p.idle[key], ic)
+	ic.older = p.newest
+	if p.newest != nil {
+		p.newest.newer = ic
+	} else {
+		p.oldest = ic
+	}
+	p.newest = ic
 	p.total++
 	p.mu.Unlock()
+	if victim != nil {
+		victim.Conn.Close()
+		p.evictedCap.Add(1)
+		p.obsEvCap.Inc()
+		return true
+	}
 	p.obsIdle.Inc()
 	return true
 }
@@ -226,17 +262,16 @@ func (p *Pool) PutEntry(key string, e Entry) bool {
 func (p *Pool) CloseIdle() {
 	p.mu.Lock()
 	p.closed = true
-	var all []Entry
-	for _, stack := range p.idle {
-		all = append(all, stack...)
+	var all []*idleConn
+	for ic := p.oldest; ic != nil; ic = ic.newer {
+		all = append(all, ic)
 	}
-	p.idle = make(map[string][]Entry)
+	p.idle = make(map[string][]*idleConn)
+	p.oldest, p.newest = nil, nil
 	n := p.total
 	p.total = 0
 	p.mu.Unlock()
-	for _, e := range all {
-		e.Conn.Close()
-	}
+	closeAll(all)
 	if n > 0 {
 		p.obsEvClose.Add(int64(n))
 		p.obsIdle.Add(-float64(n))
@@ -258,22 +293,48 @@ func (p *Pool) Stats() Stats {
 	}
 }
 
-// drainLocked closes and forgets a key's whole stack. Callers hold p.mu
-// and account the eviction reason themselves.
-func (p *Pool) drainLocked(key string, stack []Entry) {
-	for _, e := range stack {
-		e.Conn.Close()
+func (p *Pool) miss() {
+	p.misses.Add(1)
+	p.obsMiss.Inc()
+}
+
+// dropLocked forgets a key's whole stack; the caller closes the
+// connections after unlocking and accounts the eviction reason.
+func (p *Pool) dropLocked(key string, stack []*idleConn) {
+	for _, ic := range stack {
+		p.unlinkLocked(ic)
 	}
-	p.total -= len(stack)
 	delete(p.idle, key)
 	p.obsIdle.Add(-float64(len(stack)))
 }
 
+// unlinkLocked removes ic from the pool-wide park order.
+func (p *Pool) unlinkLocked(ic *idleConn) {
+	if ic.older != nil {
+		ic.older.newer = ic.newer
+	} else {
+		p.oldest = ic.newer
+	}
+	if ic.newer != nil {
+		ic.newer.older = ic.older
+	} else {
+		p.newest = ic.older
+	}
+	ic.older, ic.newer = nil, nil
+	p.total--
+}
+
 // setLocked stores a (possibly emptied) stack back under key.
-func (p *Pool) setLocked(key string, stack []Entry) {
+func (p *Pool) setLocked(key string, stack []*idleConn) {
 	if len(stack) == 0 {
 		delete(p.idle, key)
 		return
 	}
 	p.idle[key] = stack
+}
+
+func closeAll(stack []*idleConn) {
+	for _, ic := range stack {
+		ic.Conn.Close()
+	}
 }

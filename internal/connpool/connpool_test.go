@@ -3,6 +3,7 @@ package connpool
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -148,18 +149,71 @@ func TestAgeEvictionExactBoundary(t *testing.T) {
 }
 
 func TestCapacityBounds(t *testing.T) {
-	p, _ := newTestPool(t, Config{MaxPerKey: 2, MaxIdle: 3})
-	park(t, p, "a")
-	park(t, p, "a")
-	if p.Put("a", &fakeConn{}, nil) {
-		t.Fatal("per-key cap exceeded")
+	p, now := newTestPool(t, Config{MaxPerKey: 2, MaxIdle: 3})
+	a1 := park(t, p, "a")
+	*now = now.Add(time.Second)
+	a2 := park(t, p, "a")
+	*now = now.Add(time.Second)
+
+	// A full key makes room by closing its own oldest entry.
+	a3 := park(t, p, "a")
+	if !a1.isClosed() || a2.isClosed() {
+		t.Fatal("per-key cap must evict and close the key's oldest entry only")
 	}
-	park(t, p, "b")
-	if p.Put("c", &fakeConn{}, nil) {
-		t.Fatal("global cap exceeded")
+	*now = now.Add(time.Second)
+	b1 := park(t, p, "b")
+	*now = now.Add(time.Second)
+
+	// A full pool makes room by closing the pool-wide oldest entry,
+	// whatever its key.
+	c1 := park(t, p, "c")
+	if !a2.isClosed() || a3.isClosed() || b1.isClosed() || c1.isClosed() {
+		t.Fatal("global cap must evict and close the pool-wide oldest entry only")
 	}
 	if st := p.Stats(); st.EvictedCap != 2 || st.Idle != 3 {
-		t.Fatalf("stats = %+v, want 2 capacity refusals, 3 idle", st)
+		t.Fatalf("stats = %+v, want 2 capacity evictions, 3 idle", st)
+	}
+	for _, want := range []struct {
+		key  string
+		conn *fakeConn
+	}{{"a", a3}, {"b", b1}, {"c", c1}} {
+		e, ok := p.Get(want.key)
+		if !ok || e.Conn != want.conn {
+			t.Fatalf("Get(%s): ok=%v, want the surviving entry", want.key, ok)
+		}
+	}
+	if _, ok := p.Get("a"); ok {
+		t.Fatal("key a must hold at most MaxPerKey entries")
+	}
+}
+
+// TestFullPoolParksFreshConn pins the reason for LRU eviction: a pool
+// filled by one-shot keys, never fetched again, must still park a fresh
+// connection and hand it back on the next Get for its key.
+func TestFullPoolParksFreshConn(t *testing.T) {
+	p, now := newTestPool(t, Config{MaxIdle: 4})
+	var oneShots []*fakeConn
+	for i := 0; i < 4; i++ {
+		oneShots = append(oneShots, park(t, p, fmt.Sprintf("once-%d", i)))
+		*now = now.Add(time.Second)
+	}
+	for round := 0; round < 3; round++ {
+		c := park(t, p, "busy")
+		e, ok := p.Get("busy")
+		if !ok || e.Conn != c {
+			t.Fatalf("round %d: fresh conn on a full pool was not reused", round)
+		}
+	}
+	if !oneShots[0].isClosed() {
+		t.Fatal("the oldest one-shot entry must be evicted")
+	}
+	for _, c := range oneShots[1:] {
+		if c.isClosed() {
+			t.Fatal("only the oldest one-shot entry should have gone")
+		}
+	}
+	if st := p.Stats(); st.EvictedCap != 1 || st.Hits != 3 || st.Idle != 3 {
+		t.Fatalf("stats = %+v, want 1 capacity eviction, 3 hits, 3 idle", st)
 	}
 }
 

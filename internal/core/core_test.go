@@ -61,6 +61,35 @@ func TestWorldAssembly(t *testing.T) {
 	}
 }
 
+// TestWorldCloseLeavesNoGoroutines checks that Close stops every
+// goroutine NewWorld and a campaign started: a leftover accept loop
+// keeps the closed world, and everything it references, reachable.
+func TestWorldCloseLeavesNoGoroutines(t *testing.T) {
+	for _, campaign := range []bool{false, true} {
+		base := runtime.NumGoroutine()
+		w, err := NewWorld(WorldConfig{Sites: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if campaign {
+			if _, err := w.RunCampaign(CampaignConfig{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				buf = buf[:runtime.Stack(buf, true)]
+				t.Fatalf("campaign=%v: %d goroutines after Close, %d before NewWorld:\n%s",
+					campaign, runtime.NumGoroutine(), base, buf)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+}
+
 func TestCampaignCDPBrowserSplitsTraffic(t *testing.T) {
 	w := smallWorld(t, 6, "Chrome")
 	res, err := w.RunCampaign(CampaignConfig{Sites: w.Sites[:4]})

@@ -54,6 +54,18 @@ import (
 // top class is dropped on Put rather than pinned.
 var bodyPool = bytepool.New("mitm_body", 4<<10, 64<<10, 1<<20)
 
+// getBody borrows a scratch buffer for a body whose declared length is
+// n. An unknown length (n < 0, a chunked body) borrows from the 64 KiB
+// class: such bodies are mostly page assets of a few to ~90 KiB, and a
+// buffer that grew past 64 KiB is re-binned on Put into that class, so
+// a smallest-class Get would never see it again and regrow from 4 KiB.
+func getBody(n int64) *bytes.Buffer {
+	if n < 0 {
+		return bodyPool.Get(64 << 10)
+	}
+	return bodyPool.Get(int(n))
+}
+
 // Observability instruments the proxy hot paths against the default obs
 // registry. Counters are process-wide totals; per-proxy numbers stay
 // available through CertCacheStats/ResumptionStats/ConnReuseStats.
@@ -1022,7 +1034,7 @@ func (p *Proxy) buildFlow(req *http.Request, scheme, host string, uid int, trans
 	}
 	var bb *bytes.Buffer
 	if req.Body != nil && req.ContentLength != 0 {
-		bb = bodyPool.Get(int(req.ContentLength))
+		bb = getBody(req.ContentLength)
 		_, _ = io.Copy(bb, io.LimitReader(req.Body, 10<<20))
 		req.Body.Close()
 		body := bb.Bytes()
@@ -1233,7 +1245,7 @@ func (p *Proxy) exchange(pc connpool.Entry, key string, raw []byte, req *http.Re
 		pc.Conn.Close()
 		return nil, nil, err
 	}
-	bb := bodyPool.Get(int(resp.ContentLength))
+	bb := getBody(resp.ContentLength)
 	if _, err := io.Copy(bb, io.LimitReader(resp.Body, 64<<20)); err != nil {
 		bodyPool.Put(bb)
 		pc.Conn.Close()
@@ -1270,7 +1282,7 @@ func (p *Proxy) exchangeH2(pc connpool.Entry, key string, req *http.Request, bod
 		pc.Conn.Close()
 		return nil, nil, err
 	}
-	bb := bodyPool.Get(int(resp.ContentLength))
+	bb := getBody(resp.ContentLength)
 	if _, err := io.Copy(bb, io.LimitReader(resp.Body, 64<<20)); err != nil {
 		bodyPool.Put(bb)
 		pc.Conn.Close()

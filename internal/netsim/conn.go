@@ -30,13 +30,29 @@ type MetaConn interface {
 	Meta() Meta
 }
 
+// segSize is the capacity of one pipe segment: a full TLS record's
+// plaintext, so a page-sized body crosses a pipe in a handful of them.
+const segSize = 16 << 10
+
+// segment is a fixed-size slab of queued bytes; r and w index the
+// unread span. Segments are shared by every pipe through segPool.
+type segment struct {
+	b    [segSize]byte
+	r, w int
+}
+
+var segPool = sync.Pool{New: func() any { return new(segment) }}
+
 // pipeBuf is one direction of an in-memory connection: a byte queue with
-// blocking reads, close semantics and deadline support.
+// blocking reads, close semantics and deadline support. Bytes queue in
+// pooled segments; a segment goes back to segPool as soon as it is read
+// out, so a drained pipe holds no buffer memory.
 type pipeBuf struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
-	buf      []byte
-	closed   bool // no more writes will arrive
+	segs     []*segment // oldest first; only the last has free space
+	n        int        // bytes queued
+	closed   bool       // no more writes will arrive
 	deadline time.Time
 	dlTimer  *time.Timer
 }
@@ -53,20 +69,40 @@ func (b *pipeBuf) write(p []byte) (int, error) {
 	if b.closed {
 		return 0, io.ErrClosedPipe
 	}
-	b.buf = append(b.buf, p...)
+	for rest := p; len(rest) > 0; {
+		var tail *segment
+		if k := len(b.segs); k > 0 && b.segs[k-1].w < segSize {
+			tail = b.segs[k-1]
+		} else {
+			tail = segPool.Get().(*segment)
+			tail.r, tail.w = 0, 0
+			b.segs = append(b.segs, tail)
+		}
+		c := copy(tail.b[tail.w:], rest)
+		tail.w += c
+		rest = rest[c:]
+	}
+	b.n += len(p)
 	b.cond.Broadcast()
 	return len(p), nil
 }
 
+// read copies out of the oldest segment only, so one read returns at
+// most one segment's worth of bytes.
 func (b *pipeBuf) read(p []byte) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
-		if len(b.buf) > 0 {
-			n := copy(p, b.buf)
-			b.buf = b.buf[n:]
-			if len(b.buf) == 0 {
-				b.buf = nil // release backing array
+		if b.n > 0 {
+			head := b.segs[0]
+			n := copy(p, head.b[head.r:head.w])
+			head.r += n
+			b.n -= n
+			if head.r == head.w {
+				copy(b.segs, b.segs[1:])
+				b.segs[len(b.segs)-1] = nil
+				b.segs = b.segs[:len(b.segs)-1]
+				segPool.Put(head)
 			}
 			return n, nil
 		}
@@ -112,7 +148,7 @@ func (b *pipeBuf) setDeadline(t time.Time) {
 func (b *pipeBuf) buffered() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.buf)
+	return b.n
 }
 
 // Conn is one endpoint of an in-memory duplex connection. It implements

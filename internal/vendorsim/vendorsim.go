@@ -232,6 +232,7 @@ const wsHost = "push.dolphin-browser.com"
 type Vendors struct {
 	backends map[string]*Backend
 	servers  []*http.Server
+	splits   []net.Listener // raw listeners under the ALPN-splitting accept loops
 	udps     []*netsim.UDPEndpoint
 	// DoHCloudflare and DoHGoogle expose the resolvers' query logs.
 	DoHCloudflare *dnssim.Handler
@@ -272,6 +273,7 @@ func Setup(inet *netsim.Internet, ca *pki.CA, now func() time.Time) (*Vendors, e
 			cl := newChanListener(l.Addr())
 			go srv.Serve(cl)
 			go serveALPNSplit(l, tcfg, cl, handler)
+			v.splits = append(v.splits, l)
 		} else {
 			go srv.Serve(tls.NewListener(l, tcfg))
 		}
@@ -449,10 +451,14 @@ func (v *Vendors) Hosts() []string {
 	return out
 }
 
-// Close stops all servers and unbinds the QUIC endpoints.
+// Close stops all servers and accept loops and unbinds the QUIC
+// endpoints.
 func (v *Vendors) Close() {
 	for _, s := range v.servers {
 		s.Close()
+	}
+	for _, l := range v.splits {
+		l.Close()
 	}
 	for _, ep := range v.udps {
 		ep.Close()

@@ -3,6 +3,7 @@ package websim
 import (
 	"crypto/tls"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -98,7 +99,7 @@ func siteHandler(h *Hosting, s *Site) http.Handler {
 			// this header and reports it up to the orchestrator, which
 			// advances the virtual clock by it.
 			w.Header().Set("X-Sim-Load-Time-Ms", fmt.Sprint(s.LoadTimeMs))
-			fmt.Fprint(w, doc)
+			io.WriteString(w, doc)
 			return
 		}
 		key := req.URL.Path
@@ -154,20 +155,20 @@ func contentTypeFor(k ResourceKind) string {
 	}
 }
 
-var fillerBlock = []byte(strings.Repeat("panoptes", 512)) // 4096 bytes
+// fillerBlock is the shared body of every served resource: "panoptes"
+// repeated, long enough for the largest resource (64 KiB).
+var fillerBlock = []byte(strings.Repeat("panoptes", 8<<10))
 
-// filler returns n deterministic bytes.
+// filler returns n deterministic bytes. Bodies up to len(fillerBlock)
+// are read-only views of the shared block, so serving a resource
+// allocates nothing; handlers still write each body in one Write, which
+// keeps the upstream wire framing unchanged.
 func filler(n int) []byte {
 	if n <= 0 {
 		return nil
 	}
-	out := make([]byte, 0, n)
-	for len(out) < n {
-		chunk := n - len(out)
-		if chunk > len(fillerBlock) {
-			chunk = len(fillerBlock)
-		}
-		out = append(out, fillerBlock[:chunk]...)
+	if n <= len(fillerBlock) {
+		return fillerBlock[:n:n]
 	}
-	return out
+	return []byte(strings.Repeat("panoptes", n/8+1)[:n])
 }

@@ -282,6 +282,7 @@ func extFor(k ResourceKind) string {
 // §3.2) are appended by the engine at render time, not here.
 func (s *Site) HTML() string {
 	var sb strings.Builder
+	sb.Grow(s.DocSize + len("<!---->\n</body>\n</html>\n"))
 	sb.WriteString("<!DOCTYPE html>\n<html>\n<head>\n")
 	fmt.Fprintf(&sb, "<title>%s</title>\n", s.Domain)
 	if s.Category.Sensitive() {
@@ -311,12 +312,18 @@ func (s *Site) HTML() string {
 	pad := s.DocSize - sb.Len()
 	if pad > 0 {
 		sb.WriteString("<!--")
-		sb.WriteString(strings.Repeat("p", pad))
+		for ; pad > len(docPad); pad -= len(docPad) {
+			sb.WriteString(docPad)
+		}
+		sb.WriteString(docPad[:pad])
 		sb.WriteString("-->")
 	}
 	sb.WriteString("\n</body>\n</html>\n")
 	return sb.String()
 }
+
+// docPad is the run of padding HTML copies from.
+var docPad = strings.Repeat("p", 4<<10)
 
 // WriteList renders the crawl list in the "1k.txt" one-domain-per-line
 // format the authors published.

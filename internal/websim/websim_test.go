@@ -250,8 +250,14 @@ func TestFiller(t *testing.T) {
 	if filler(0) != nil {
 		t.Fatal("filler(0) not nil")
 	}
-	if got := len(filler(10000)); got != 10000 {
-		t.Fatalf("filler = %d bytes", got)
+	for _, n := range []int{1, 43, 10000, len(fillerBlock), len(fillerBlock) + 3} {
+		got := filler(n)
+		if want := strings.Repeat("panoptes", n/8+1)[:n]; string(got) != want {
+			t.Fatalf("filler(%d) is not the first %d bytes of the repeated pattern", n, n)
+		}
+		if n <= len(fillerBlock) && cap(got) != n {
+			t.Fatalf("filler(%d) has cap %d: an append could write into the shared block", n, cap(got))
+		}
 	}
 }
 

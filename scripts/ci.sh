@@ -27,8 +27,9 @@ go build ./...
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -race (obs, mitm, connpool, capture: sharded accept loops + idle pools + flow recycling)"
-go test -race ./internal/obs/... ./internal/mitm/... ./internal/connpool/... ./internal/capture/...
+echo "==> go test -race (obs, mitm, connpool, capture, netsim, vendorsim, websim: sharded accept loops + idle pools + flow recycling + shared pipe segments)"
+go test -race ./internal/obs/... ./internal/mitm/... ./internal/connpool/... ./internal/capture/... \
+    ./internal/netsim/... ./internal/vendorsim/... ./internal/websim/...
 
 echo "==> go test -race (core, leak, pipeline, analysis, fabric: concurrent scheduler + streaming analyzers)"
 # The analyzers and the fabric shipper observe sealed attempts from the
@@ -44,6 +45,10 @@ go test -race ./internal/match/... ./internal/pii/...
 
 echo "==> go test -race (sink, breaker: export dispatchers + shared breakers)"
 go test -race ./internal/sink/... ./internal/breaker/...
+
+echo "==> benchmark module smoke (cd bench && go test ./...)"
+# bench/ is its own Go module, so the root go test ./... never builds it.
+(cd bench && go test ./...)
 
 echo "==> fault-seed chaos smoke (10% fault rate campaign under -race, all transports)"
 # A seeded chaos campaign over every data-plane transport (the fleet
