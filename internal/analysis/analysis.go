@@ -38,17 +38,21 @@ type Fig2Row struct {
 	Ratio   float64 // native / engine
 }
 
-// Fig2 computes request counts per browser by replaying both databases
-// through a Fig2Analyzer. The replay forces each store's origin, so
-// hand-built stores without origin stamps tally correctly.
-func Fig2(db *capture.DB, browsers []string) []Fig2Row {
-	a := NewFig2Analyzer(browsers)
+// replayDB drives an analyzer with both databases' flows, engine first.
+func replayDB(db *capture.DB, a interface{ Observe(*capture.Flow) }) {
 	for _, f := range db.Engine.All() {
-		a.observe(f, capture.OriginEngine)
+		a.Observe(f)
 	}
 	for _, f := range db.Native.All() {
-		a.observe(f, capture.OriginNative)
+		a.Observe(f)
 	}
+}
+
+// Fig2 computes request counts per browser by replaying both databases
+// through a Fig2Analyzer (each DB store stamps its origin on every flow).
+func Fig2(db *capture.DB, browsers []string) []Fig2Row {
+	a := NewFig2Analyzer(browsers)
+	replayDB(db, a)
 	return a.Rows()
 }
 
@@ -85,12 +89,7 @@ type Fig4Row struct {
 // databases through a Fig4Analyzer.
 func Fig4(db *capture.DB, browsers []string) []Fig4Row {
 	a := NewFig4Analyzer(browsers)
-	for _, f := range db.Engine.All() {
-		a.observe(f, capture.OriginEngine)
-	}
-	for _, f := range db.Native.All() {
-		a.observe(f, capture.OriginNative)
-	}
+	replayDB(db, a)
 	return a.Rows()
 }
 
@@ -110,12 +109,7 @@ type TransportRow struct {
 // both databases through a TransportAnalyzer.
 func TransportCoverage(db *capture.DB, browsers []string) []TransportRow {
 	a := NewTransportAnalyzer(browsers)
-	for _, f := range db.Engine.All() {
-		a.observe(f)
-	}
-	for _, f := range db.Native.All() {
-		a.observe(f)
-	}
+	replayDB(db, a)
 	return a.Rows()
 }
 
@@ -345,12 +339,7 @@ type VolumeCheck struct {
 // request bytes the proxy reconstructed for the same app.
 func CrossCheckVolumes(db *capture.DB, acct *ebpfsim.TrafficAccounting, uidOf map[string]int) []VolumeCheck {
 	a := NewFig4Analyzer(nil)
-	for _, f := range db.Engine.All() {
-		a.observe(f, capture.OriginEngine)
-	}
-	for _, f := range db.Native.All() {
-		a.observe(f, capture.OriginNative)
-	}
+	replayDB(db, a)
 	return CrossCheckFrom(a.ReqBytesTotal, acct, uidOf)
 }
 

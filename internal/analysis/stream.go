@@ -41,15 +41,11 @@ func NewFig2Analyzer(browsers []string) *Fig2Analyzer {
 }
 
 // Observe tallies one committed flow by its stamped origin.
-func (a *Fig2Analyzer) Observe(f *capture.Flow) { a.observe(f, f.Origin) }
-
-// observe is the shared per-flow step; batch replay forces the origin
-// of the store it is replaying (hand-built stores may lack stamps).
-func (a *Fig2Analyzer) observe(f *capture.Flow, o capture.Origin) {
+func (a *Fig2Analyzer) Observe(f *capture.Flow) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	m := a.native
-	if o == capture.OriginEngine {
+	if f.Origin == capture.OriginEngine {
 		m = a.engine
 	}
 	m[f.Browser]++
@@ -164,13 +160,11 @@ func NewFig4Analyzer(browsers []string) *Fig4Analyzer {
 }
 
 // Observe sums one committed flow's request bytes by stamped origin.
-func (a *Fig4Analyzer) Observe(f *capture.Flow) { a.observe(f, f.Origin) }
-
-func (a *Fig4Analyzer) observe(f *capture.Flow, o capture.Origin) {
+func (a *Fig4Analyzer) Observe(f *capture.Flow) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	m := a.native
-	if o == capture.OriginEngine {
+	if f.Origin == capture.OriginEngine {
 		m = a.engine
 	}
 	m[f.Browser] += int64(f.ReqBytes)
@@ -462,9 +456,7 @@ func NewTransportAnalyzer(browsers []string) *TransportAnalyzer {
 }
 
 // Observe tallies one committed flow by its transport tag.
-func (a *TransportAnalyzer) Observe(f *capture.Flow) { a.observe(f) }
-
-func (a *TransportAnalyzer) observe(f *capture.Flow) {
+func (a *TransportAnalyzer) Observe(f *capture.Flow) {
 	t := f.TransportOrDefault()
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -524,16 +516,19 @@ type Suite struct {
 }
 
 // NewSuite builds the analyzers for the given browser fleet and
-// ad-classification host list.
+// ad-classification host list. Both leak scanners share one detector, so
+// each visit URL and hostname is interned and compiled into its
+// automaton once.
 func NewSuite(list *hostlist.List, browsers []string) *Suite {
+	det := leak.NewDetector()
 	return &Suite{
 		names:      append([]string(nil), browsers...),
 		Fig2:       NewFig2Analyzer(browsers),
 		Fig3:       NewFig3Analyzer(list, browsers),
 		Fig4:       NewFig4Analyzer(browsers),
 		PII:        pii.NewMatrixAnalyzer(browsers),
-		LeakNative: leak.NewStreamScanner(leak.NewDetector(), capture.OriginNative),
-		LeakEngine: leak.NewStreamScanner(leak.NewDetector(), capture.OriginEngine),
+		LeakNative: leak.NewStreamScanner(det, capture.OriginNative),
+		LeakEngine: leak.NewStreamScanner(det, capture.OriginEngine),
 		DNS:        NewDNSAnalyzer(browsers),
 		Trackable:  NewTrackableAnalyzer(),
 		Listing1:   NewListing1Analyzer(),

@@ -2,7 +2,7 @@
 // exchange; at campaign rates that is the dominant steady-state
 // allocation. Flows acquired from the pool are reference-counted so
 // every retainer along the commit path (producer, the DB's commit gate,
-// store shard, export batches, memory sinks) pins the record
+// the store, export batches, memory sinks) pins the record
 // independently, and the struct — with its Headers map and Body buffer —
 // returns to the pool only when the last holder releases it.
 //

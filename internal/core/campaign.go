@@ -212,7 +212,7 @@ type sharedCrawl struct {
 // Browsers are crawled by a pool of cfg.Parallelism workers. Each
 // browser is an isolated unit of work (own UID, Appium session,
 // diversion rule, activity clock), so workers only contend on the
-// sharded capture stores, the proxy's singleflighted cert cache and the
+// capture stores, the proxy's singleflighted cert cache and the
 // serialized world clock. Per-browser visit records are collected
 // privately and merged in cfg.Browsers order, making the result — and
 // everything the analysis package derives from the capture databases —

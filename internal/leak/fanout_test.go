@@ -38,9 +38,9 @@ func leakyFleet(order []int) *capture.Store {
 	return s
 }
 
-// TestScanShardFanOutEquivalence checks the sharded, fanned-out Scan is
-// a pure function of the flow multiset: insertion order (and therefore
-// shard fill order) must not change a single byte of the output.
+// TestScanShardFanOutEquivalence checks Scan is a pure function of the
+// flow multiset: insertion order must not change a single byte of the
+// output.
 func TestScanShardFanOutEquivalence(t *testing.T) {
 	const n = 256
 	forward := make([]int, n)
@@ -78,7 +78,7 @@ func TestScanShardFanOutEquivalence(t *testing.T) {
 			t.Fatalf("%s insertion order changed scan output", name)
 		}
 	}
-	// And a rescan of the same store is identical (the fan-out itself is
+	// And a rescan of the same store is identical (the scan itself is
 	// deterministic, not just the flow set).
 	s := leakyFleet(forward)
 	if !reflect.DeepEqual(d.Scan(s), d.Scan(s)) {

@@ -316,7 +316,7 @@ func (d *Detector) Scan(native *capture.Store) []Finding {
 }
 
 // sortFindings puts findings in their canonical order: stable, human-
-// scannable, and independent of which shard or goroutine surfaced them.
+// scannable, and independent of which goroutine surfaced them or when.
 func sortFindings(fs []Finding) {
 	sort.Slice(fs, func(i, j int) bool {
 		a, b := fs[i], fs[j]

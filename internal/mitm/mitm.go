@@ -30,7 +30,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -194,10 +193,9 @@ type Proxy struct {
 	// transport falls back to.
 	transports map[string]bool
 
-	upstreamRTT  time.Duration
-	acceptShards int
-	closed       atomic.Bool
-	faults       atomic.Pointer[faultsim.Injector]
+	upstreamRTT time.Duration
+	closed      atomic.Bool
+	faults      atomic.Pointer[faultsim.Injector]
 }
 
 // transportEnabled reports whether the proxy speaks transport t.
@@ -249,9 +247,6 @@ type Config struct {
 	// the interception path (ablation; the determinism suite compares
 	// resumed runs against this cold-handshake path).
 	DisableTLSResume bool
-	// AcceptShards overrides the accept-goroutine count in Serve
-	// (default: GOMAXPROCS).
-	AcceptShards int
 	// Transports lists the enabled data-plane protocols
 	// (capture.TransportH1 ... TransportDoH). Empty enables all; h1 is
 	// always kept on. A disabled h2 drops the "h2" ALPN offer on both
@@ -283,7 +278,7 @@ func New(cfg Config) (*Proxy, error) {
 		cfg.Now = time.Now
 	}
 	p := &Proxy{CA: cfg.CA, UpstreamRoots: cfg.UpstreamRoots, Dial: cfg.Dial, Now: cfg.Now, Trace: cfg.Trace,
-		upstreamRTT: cfg.UpstreamRTT, acceptShards: cfg.AcceptShards}
+		upstreamRTT: cfg.UpstreamRTT}
 	if len(cfg.Transports) > 0 {
 		p.transports = make(map[string]bool, len(cfg.Transports)+1)
 		for _, t := range cfg.Transports {
@@ -384,37 +379,9 @@ func (p *Proxy) Close() {
 }
 
 // Serve accepts and handles diverted connections until the listener
-// closes. Accepting is sharded across one goroutine per core (override
-// with Config.AcceptShards), so a burst of parallel clients is not
-// serialised behind a single accept loop.
+// closes. Each connection is handled (TLS handshake included) on its own
+// goroutine, so one accept loop never serialises parallel clients.
 func (p *Proxy) Serve(l net.Listener) error {
-	shards := p.acceptShards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards == 1 {
-		return p.acceptLoop(l)
-	}
-	errs := make(chan error, shards)
-	var wg sync.WaitGroup
-	for i := 0; i < shards; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs <- p.acceptLoop(l)
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (p *Proxy) acceptLoop(l net.Listener) error {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -883,7 +850,7 @@ func (p *Proxy) serveOne(cio clientIO, req *http.Request, scheme, host, port str
 	flow, reqBody := p.buildFlow(req, scheme, host, uid, transport, alpn)
 	sp.SetAttr("transport", flow.Transport)
 	// The producer reference: released when the exchange ends. Every
-	// retainer that outlives the exchange (commit gate, store shards,
+	// retainer that outlives the exchange (commit gate, store,
 	// export batches) holds its own reference by then.
 	defer flow.Release()
 	if reqBody != nil {
