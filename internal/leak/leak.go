@@ -16,7 +16,6 @@ import (
 	"encoding/base64"
 	"encoding/hex"
 	"net/url"
-	"regexp"
 	"slices"
 	"sort"
 	"strings"
@@ -389,10 +388,6 @@ func Summarise(findings []Finding) []Summary {
 	return out
 }
 
-// idFieldPat extracts "key":"value" pairs from JSON-ish bodies for the
-// identifier miner.
-var idFieldPat = regexp.MustCompile(`"([A-Za-z0-9_.-]+)"\s*:\s*"([0-9a-fA-F-]{16,})"`)
-
 // IDHit is one identifier-looking key/value pair mined from a flow.
 type IDHit struct {
 	Key   string
@@ -423,17 +418,67 @@ func ExtractIDs(f *capture.Flow) []IDHit {
 			}
 		}
 	}
-	// Match directly over the captured bytes — the old string(f.Body)
-	// conversion copied every body on every flow. A quote is required by
-	// the pattern, so bodies without one skip the regexp entirely.
-	if bytes.IndexByte(f.Body, '"') >= 0 {
-		for _, m := range idFieldPat.FindAllSubmatch(f.Body, -1) {
-			if looksLikeIDKey(string(m[1])) && looksLikeID(string(m[2])) {
-				out = append(out, IDHit{Key: string(m[1]), Value: string(m[2])})
-			}
+	// Body fields are "key":"value" pairs (idFieldPat in the tests is the
+	// spec). Every match opens at a quote and neither character class
+	// admits one, so each quote starts at most one match: one pass over
+	// the quotes yields the regexp's leftmost, non-overlapping matches.
+	body := f.Body
+	for i := bytes.IndexByte(body, '"'); i >= 0; i = bytes.IndexByte(body, '"') {
+		key, val, n := idField(body[i:])
+		if n == 0 {
+			body = body[i+1:]
+			continue
 		}
+		if k, v := string(key), string(val); looksLikeIDKey(k) && looksLikeID(v) {
+			out = append(out, IDHit{Key: k, Value: v})
+		}
+		body = body[i+n:]
 	}
 	return out
+}
+
+// idField matches `"key"\s*:\s*"value"` at the start of b, with key a
+// run of [A-Za-z0-9_.-] and value 16 or more of [0-9a-fA-F-]. It
+// returns the key, the value and the match length, or n == 0.
+func idField(b []byte) (key, val []byte, n int) {
+	k := skip(b, 1, isKeyByte)
+	if k == 1 || k == len(b) || b[k] != '"' {
+		return nil, nil, 0
+	}
+	i := skip(b, k+1, isSpace)
+	if i == len(b) || b[i] != ':' {
+		return nil, nil, 0
+	}
+	i = skip(b, i+1, isSpace)
+	if i == len(b) || b[i] != '"' {
+		return nil, nil, 0
+	}
+	v := skip(b, i+1, isIDByte)
+	if v-(i+1) < 16 || v == len(b) || b[v] != '"' {
+		return nil, nil, 0
+	}
+	return b[1:k], b[i+1 : v], v + 1
+}
+
+// skip returns the end of the run of class bytes that starts at i.
+func skip(b []byte, i int, class func(byte) bool) int {
+	for i < len(b) && class(b[i]) {
+		i++
+	}
+	return i
+}
+
+func isKeyByte(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' || c == '.' || c == '-'
+}
+
+func isIDByte(c byte) bool {
+	return c >= '0' && c <= '9' || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F' || c == '-'
+}
+
+// isSpace is RE2's \s: [\t\n\f\r ].
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\f' || c == '\r'
 }
 
 // PersistentIDs extracts candidate persistent identifiers per browser

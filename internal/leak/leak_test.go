@@ -8,6 +8,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net/url"
+	"reflect"
+	"regexp"
 	"testing"
 	"testing/quick"
 
@@ -211,6 +213,62 @@ func TestPersistentIDsInJSONBody(t *testing.T) {
 	if len(vals) != 1 || vals[0] != id {
 		t.Fatalf("operaId not mined from body: %v", ids)
 	}
+}
+
+// idFieldPat is the spec of ExtractIDs' body scan: "key":"value" pairs
+// in JSON-ish bodies, found leftmost first and without overlap.
+var idFieldPat = regexp.MustCompile(`"([A-Za-z0-9_.-]+)"\s*:\s*"([0-9a-fA-F-]{16,})"`)
+
+// extractBodyIDsSpec is ExtractIDs' body half over idFieldPat.
+func extractBodyIDsSpec(body []byte) []IDHit {
+	var out []IDHit
+	for _, m := range idFieldPat.FindAllSubmatch(body, -1) {
+		if looksLikeIDKey(string(m[1])) && looksLikeID(string(m[2])) {
+			out = append(out, IDHit{Key: string(m[1]), Value: string(m[2])})
+		}
+	}
+	return out
+}
+
+func TestExtractIDsMatchesRegexpSpec(t *testing.T) {
+	id := "3929d87cfa02a9437044a54d3c0e7e6d"
+	for _, body := range []string{
+		`{"channelId":"adx","operaId":"` + id + `","adCount":2}`,
+		`{"uuid" : "` + id + `", "device_id":"` + id + `"}`,
+		`"uuid"\t:\n"` + id + `"`,
+		`"uuid":"` + id[:15] + `"`,            // value too short
+		`"uuid":"` + id + `x"`,                // value leaves the class
+		`"uuid":"` + id,                       // unterminated value
+		`""uuid":"` + id + `"`,                // empty key, then a match
+		`"a"uid":"` + id + `"`,                // a failed start inside a key
+		`"uid":"` + id + `"uid":"` + id + `"`, // the closing quote is no new start
+		`"clientid"` + "\v" + `:"` + id + `"`, // \v is not \s
+		"\xc3\"uuid\":\"" + id + "\"",         // invalid UTF-8 before the quote
+		``,
+		`no quotes here`,
+	} {
+		got := ExtractIDs(&capture.Flow{Body: []byte(body)})
+		if want := extractBodyIDsSpec([]byte(body)); !reflect.DeepEqual(got, want) {
+			t.Errorf("ExtractIDs(%q) = %v, want %v", body, got, want)
+		}
+	}
+}
+
+// FuzzExtractIDsVsRegexp holds the single-pass body scan to idFieldPat
+// over arbitrary bytes.
+func FuzzExtractIDsVsRegexp(f *testing.F) {
+	id := "3929d87cfa02a9437044a54d3c0e7e6d"
+	f.Add([]byte(`{"channelId":"adx","operaId":"` + id + `","adCount":2}`))
+	f.Add([]byte(`{"uuid" : "` + id + `", "device_id":"` + id + `"}`))
+	f.Add([]byte(`""uid":"` + id + `"uid":"` + id + `"`))
+	f.Add([]byte("\"installid\"\r\f:\t\"" + id + "-\"\xff\"guid\":\"" + id + "\""))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got := ExtractIDs(&capture.Flow{Body: body})
+		if want := extractBodyIDsSpec(body); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ExtractIDs(%q) = %v, want %v", body, got, want)
+		}
+	})
 }
 
 // Property: for every encoding in the full set, a value transported

@@ -28,6 +28,7 @@ package match
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"panoptes/internal/obs"
@@ -35,13 +36,18 @@ import (
 
 func init() {
 	obs.Default.Help("match_automaton_rebuilds_total", "Aho-Corasick automaton compilations by pattern set and tier (stable promotions vs cheap recent-tier rebuilds).")
-	obs.Default.Help("match_scan_ns", "Single-pass multi-pattern scan latency in nanoseconds, by pattern set.")
+	obs.Default.Help("match_scan_ns", "Single-pass multi-pattern scan latency in nanoseconds, by pattern set, sampled: the first scan and every 64th after it.")
 	obs.Default.Help("match_patterns", "Patterns currently registered in each pattern set.")
 }
 
 // scanBuckets span 0.25µs .. ~4ms in nanoseconds, the plausible range
 // for one flow-haystack pass.
 var scanBuckets = obs.ExponentialBuckets(250, 4, 8)
+
+// timeEvery is the scan-latency sampling stride: a set times its first
+// scan and every timeEvery-th after it, since a clock pair costs as
+// much as a short haystack's pass.
+const timeEvery = 64
 
 // promoteAt is the recent-tier size (in patterns) that triggers a full
 // stable recompilation. ~64 visits' worth of leak needles: large enough
@@ -66,7 +72,8 @@ type PatternSet struct {
 	recent      *Automaton // patterns [stableN, len(pats)) since last promotion
 	stableN     int
 
-	pool sync.Pool // *MatchSet
+	pool  sync.Pool     // *MatchSet
+	scans atomic.Uint64 // scans run, for latency sampling
 
 	rebuildStable *obs.Counter
 	rebuildRecent *obs.Counter
@@ -157,8 +164,18 @@ func (ps *PatternSet) automata() (stable, recent *Automaton) {
 // Scan walks the haystack once per compiled tier (at most twice in
 // total, independent of pattern count) and returns the set of pattern
 // IDs that occur in it as substrings. Release the result when done.
+// The first scan and every timeEvery-th after it are timed.
 func (ps *PatternSet) Scan(hay []byte) *MatchSet {
+	if ps.scans.Add(1)%timeEvery != 1 {
+		return ps.scan(hay)
+	}
 	start := time.Now()
+	ms := ps.scan(hay)
+	ps.scanNS.Observe(float64(time.Since(start).Nanoseconds()))
+	return ms
+}
+
+func (ps *PatternSet) scan(hay []byte) *MatchSet {
 	stable, recent := ps.automata()
 	ms := ps.pool.Get().(*MatchSet)
 	if stable != nil {
@@ -167,7 +184,6 @@ func (ps *PatternSet) Scan(hay []byte) *MatchSet {
 	if recent != nil {
 		recent.scanInto(hay, ms)
 	}
-	ps.scanNS.Observe(float64(time.Since(start).Nanoseconds()))
 	return ms
 }
 

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"panoptes/internal/obs"
 )
 
 // naiveMatches is the reference the automaton must reproduce: one
@@ -241,6 +243,27 @@ func TestLookupDoesNotAllocateForFoldedKeys(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("Lookup allocated %.1f times per run", allocs)
+	}
+}
+
+// TestScanSamplesLatency: a set times its first scan and every
+// timeEvery-th after it; every scan's result is exact. obs.Default is
+// process-global, so the test reads deltas.
+func TestScanSamplesLatency(t *testing.T) {
+	const n = 3*timeEvery + 5
+	pats := []string{"he", "she", "his", "hers"}
+	ps := NewPatternSet("sampling-test")
+	for _, p := range pats {
+		ps.Add(p)
+	}
+	h := obs.Default.Histogram("match_scan_ns", scanBuckets, "set", "sampling-test")
+	timed0 := h.Count()
+	hays := []string{"ushers", "this", "nothing"}
+	for i := 1; i <= n; i++ {
+		assertScan(t, ps, pats, hays[i%len(hays)])
+		if got, want := h.Count()-timed0, int64((i+timeEvery-1)/timeEvery); got != want {
+			t.Fatalf("after %d scans: %d timed, want %d", i, got, want)
+		}
 	}
 }
 

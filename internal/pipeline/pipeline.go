@@ -15,6 +15,7 @@ package pipeline
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"panoptes/internal/capture"
@@ -46,7 +47,7 @@ type Resetter interface {
 
 func init() {
 	obs.Default.Help("pipeline_observed_total", "Flows observed by each streaming analyzer.")
-	obs.Default.Help("pipeline_observe_seconds", "Per-flow observe latency of each streaming analyzer.")
+	obs.Default.Help("pipeline_observe_seconds", "Per-flow observe latency of each streaming analyzer, sampled: the first flow and every 64th after it.")
 	obs.Default.Help("pipeline_retractions_total", "Attempts quarantined while each streaming analyzer was registered (their flows never reached it).")
 	obs.Default.Help("pipeline_analyzers", "Analyzers currently registered on the streaming pipeline.")
 }
@@ -54,6 +55,12 @@ func init() {
 // observeBuckets spans 1µs .. ~262ms, the plausible range for a
 // per-flow incremental fold.
 var observeBuckets = obs.ExponentialBuckets(1e-6, 4, 10)
+
+// timeEvery is the latency sampling stride: the pipeline times the
+// first flow and every timeEvery-th after it, because a clock pair
+// plus a histogram observe per analyzer cost more than most analyzers'
+// folds. Counters stay exact; only pipeline_observe_seconds is sampled.
+const timeEvery = 64
 
 type entry struct {
 	name      string
@@ -69,6 +76,7 @@ type Pipeline struct {
 	mu      sync.RWMutex
 	entries []*entry
 	gauge   *obs.Gauge
+	seq     atomic.Uint64 // flows observed, for latency sampling
 }
 
 // New returns an empty pipeline.
@@ -108,9 +116,17 @@ func (p *Pipeline) Unregister(name string) {
 
 // Observe feeds one committed flow to every analyzer in registration
 // order. Called by the capture store from the committing goroutine.
+// The first flow and every timeEvery-th after it are timed.
 func (p *Pipeline) Observe(f *capture.Flow) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
+	if p.seq.Add(1)%timeEvery != 1 {
+		for _, e := range p.entries {
+			e.a.Observe(f)
+			e.observed.Inc()
+		}
+		return
+	}
 	for _, e := range p.entries {
 		start := time.Now()
 		e.a.Observe(f)

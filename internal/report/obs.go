@@ -112,7 +112,8 @@ func CampaignObsSummary(w io.Writer, r *obs.Registry) {
 
 // PipelineObsSummary renders the streaming-analysis view: one row per
 // registered analyzer with observe counts, retracted-attempt counts and
-// per-flow observe-latency percentiles, plus the retention picture —
+// per-flow observe-latency percentiles (over the pipeline's sampled
+// timings), plus the retention picture —
 // flows still resident in each capture database versus flows spilled
 // to the JSONL sink.
 func PipelineObsSummary(w io.Writer, r *obs.Registry) {
@@ -128,7 +129,7 @@ func PipelineObsSummary(w io.Writer, r *obs.Registry) {
 	}
 	sort.Strings(names)
 	fmt.Fprintln(w, "Streaming pipeline summary")
-	fmt.Fprintf(w, "  %-20s %10s %10s %10s %10s\n", "analyzer", "observed", "retracted", "p50", "p95")
+	fmt.Fprintf(w, "  %-20s %10s %10s %10s %10s\n", "analyzer", "observed", "retracted", "p50*", "p95*")
 	for _, a := range names {
 		h := r.Histogram("pipeline_observe_seconds", nil, "analyzer", a)
 		p50, p95 := "-", "-"
@@ -140,6 +141,7 @@ func PipelineObsSummary(w io.Writer, r *obs.Registry) {
 			r.Counter("pipeline_retractions_total", "analyzer", a).Value(),
 			p50, p95)
 	}
+	fmt.Fprintln(w, "  * latency sampled: the first flow and every 64th after it")
 	fmt.Fprintf(w, "  resident flows         %d engine / %d native\n",
 		int64(r.Gauge("capture_store_flows", "db", "engine").Value()),
 		int64(r.Gauge("capture_store_flows", "db", "native").Value()))

@@ -6,6 +6,7 @@ import (
 
 	"panoptes/internal/analysis"
 	"panoptes/internal/leak"
+	"panoptes/internal/obs"
 	"panoptes/internal/pii"
 )
 
@@ -223,5 +224,22 @@ func TestVolumeCrossCheckRendering(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "yes") || !strings.Contains(out, "NO") {
 		t.Errorf("output:\n%s", out)
+	}
+}
+
+func TestPipelineObsSummaryLabelsSampledLatency(t *testing.T) {
+	r := obs.NewRegistry()
+	r.Counter("pipeline_observed_total", "analyzer", "fig2").Add(130)
+	h := r.Histogram("pipeline_observe_seconds", obs.ExponentialBuckets(1e-6, 4, 10), "analyzer", "fig2")
+	for range 3 { // flows 1, 65 and 129 of 130
+		h.Observe(2e-6)
+	}
+	var b strings.Builder
+	PipelineObsSummary(&b, r)
+	out := b.String()
+	for _, want := range []string{"p50*", "p95*", "latency sampled: the first flow and every 64th", " 130 "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("summary lacks %q:\n%s", want, out)
+		}
 	}
 }

@@ -12,6 +12,7 @@
 package webengine
 
 import (
+	"bytes"
 	"context"
 	"crypto/tls"
 	"fmt"
@@ -279,12 +280,20 @@ func (e *Engine) fetchDocument(rawURL string) (body string, hdr http.Header, sta
 		return "", nil, 0, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
+	// Size the buffer from Content-Length so the document is read
+	// without regrowth copies.
+	var data bytes.Buffer
+	if n := resp.ContentLength; n > 0 {
+		data.Grow(int(min(n, maxDocument)) + bytes.MinRead)
+	}
+	if _, err := data.ReadFrom(io.LimitReader(resp.Body, maxDocument)); err != nil {
 		return "", resp.Header, resp.StatusCode, err
 	}
-	return string(data), resp.Header, resp.StatusCode, nil
+	return data.String(), resp.Header, resp.StatusCode, nil
 }
+
+// maxDocument caps how much of a document the engine reads.
+const maxDocument = 8 << 20
 
 // Navigate loads a page: document, sub-resources, injections.
 func (e *Engine) Navigate(pageURL string) (*PageResult, error) {
@@ -355,7 +364,8 @@ func (e *Engine) Navigate(pageURL string) (*PageResult, error) {
 }
 
 // ExtractResourceURLs pulls absolute sub-resource URLs out of a document:
-// script/src, link/href, img/src and fetch("...") calls.
+// script/src, link/href, img/src and fetch("...") calls. The URLs are
+// copies, so keeping one does not keep the document alive.
 func ExtractResourceURLs(doc string) []string {
 	var out []string
 	seen := map[string]bool{}
@@ -366,6 +376,7 @@ func ExtractResourceURLs(doc string) []string {
 		if !strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
 			return
 		}
+		u = strings.Clone(u) // a substring would pin the whole document
 		seen[u] = true
 		out = append(out, u)
 	}

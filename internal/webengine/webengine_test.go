@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"panoptes/internal/netsim"
 	"panoptes/internal/pki"
@@ -227,6 +228,34 @@ func TestExtractResourceURLs(t *testing.T) {
 	for _, w := range want {
 		if !set[w] {
 			t.Errorf("missing %s", w)
+		}
+	}
+}
+
+// TestExtractResourceURLsDoNotAliasDocument: the URLs come out in the
+// same order, and none points into the document, so a session that
+// keeps a URL (a resolved-host key, a span attribute) does not pin the
+// page.
+func TestExtractResourceURLsDoNotAliasDocument(t *testing.T) {
+	doc := strings.Repeat("<p>filler</p>", 64) + `
+<script src="https://a.example/x.js"></script>
+<link rel="stylesheet" href="https://b.example/y.css">
+<img src="https://c.example/z.png">
+<script>fetch("https://d.example/api?k=v")</script>
+<img src="https://a.example/x.js">`
+	urls := ExtractResourceURLs(doc)
+	want := []string{
+		"https://a.example/x.js", "https://c.example/z.png",
+		"https://b.example/y.css", "https://d.example/api?k=v",
+	}
+	if fmt.Sprint(urls) != fmt.Sprint(want) {
+		t.Fatalf("urls = %v, want %v", urls, want)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(doc)))
+	hi := lo + uintptr(len(doc))
+	for _, u := range urls {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(u))); p >= lo && p < hi {
+			t.Errorf("%s aliases the document", u)
 		}
 	}
 }

@@ -31,6 +31,9 @@ echo "==> go test -race (obs, mitm, connpool, capture, netsim, vendorsim, websim
 go test -race ./internal/obs/... ./internal/mitm/... ./internal/connpool/... ./internal/capture/... \
     ./internal/netsim/... ./internal/vendorsim/... ./internal/websim/...
 
+echo "==> go test -race (webengine: concurrent sub-resource fetches)"
+go test -race ./internal/webengine/...
+
 echo "==> go test -race (core, leak, pipeline, analysis, fabric: concurrent scheduler + streaming analyzers)"
 # The analyzers and the fabric shipper observe sealed attempts from the
 # campaign goroutine while proxy goroutines commit untagged flows. -p 1
@@ -87,6 +90,9 @@ echo "==> benchmark smoke: leak scan scaling + mitm body allocs"
 # allocations it exists to amortise).
 go test -run '^$' -bench 'LeakScanScaling|MitmBodyAlloc' -benchmem -benchtime=100x \
     ./internal/leak/ ./internal/mitm/
+
+echo "==> benchmark smoke: pipeline observe (the analysis suite over a fixed flow mix, ns/flow + allocs/op)"
+go test -run '^$' -bench PipelineObserve -benchmem -benchtime=100x ./internal/analysis/
 
 echo "==> benchmark smoke: fabric scaling (visits/sec at 1/2/8 workers + worker-kill reclamation)"
 go test -run '^$' -bench FabricScaling -benchtime=1x ./internal/fabric/
