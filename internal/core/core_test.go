@@ -1,17 +1,14 @@
 package core
 
 import (
-	"bytes"
 	"crypto/tls"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"panoptes/internal/device"
-	"panoptes/internal/packet"
-	"panoptes/internal/pcap"
 	"panoptes/internal/profiles"
 	"panoptes/internal/vclock"
 	"panoptes/internal/websim"
@@ -433,50 +430,25 @@ func TestVisitRecordLoadTimes(t *testing.T) {
 
 func vclockEpoch() time.Time { return vclock.Epoch }
 
-func TestCampaignWithPcapCapture(t *testing.T) {
+// TestCampaignAccountsBothLegs checks that both legs of an intercepted
+// exchange cross the device network stack: the browser's diverted
+// connections and the proxy's upstream dials each reach the per-UID eBPF
+// byte accounting in both directions.
+func TestCampaignAccountsBothLegs(t *testing.T) {
 	w := smallWorld(t, 4, "Brave")
-	var buf bytes.Buffer
-	tap := device.NewPcapTap(w.Device, pcap.NewWriter(&buf, 0))
-	w.Device.SetTap(tap)
 	if _, err := w.RunCampaign(CampaignConfig{Sites: w.Sites[:2]}); err != nil {
 		t.Fatal(err)
 	}
-	w.Device.SetTap(nil)
-	if tap.Count() == 0 {
-		t.Fatal("no packets captured")
-	}
-	r, err := pcap.NewReader(bytes.NewReader(buf.Bytes()))
+	proxyUID, err := w.Device.UIDOf("org.debian.mitmproxy")
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != tap.Count() {
-		t.Fatalf("records = %d, tap = %d", len(recs), tap.Count())
-	}
-	// Every record decodes; the capture records each connection with its
-	// original destination (port 443 for the HTTPS web), both for the
-	// diverted browser flows and the proxy's upstream legs.
-	syns443 := 0
-	for _, rec := range recs {
-		p := packet.Decode(rec.Data)
-		if p.ErrorLayer() != nil {
-			t.Fatalf("record does not decode: %v", p.ErrorLayer())
+	for name, uid := range map[string]int{"Brave": w.Browsers["Brave"].Pkg.UID, "mitmproxy": proxyUID} {
+		key := strconv.Itoa(uid)
+		tx, rx := w.Device.Accounting.TxBytes.Get(key), w.Device.Accounting.RxBytes.Get(key)
+		if tx == 0 || rx == 0 {
+			t.Errorf("%s (uid %d): tx=%d rx=%d, want both non-zero", name, uid, tx, rx)
 		}
-		if tcp, ok := p.Layer(packet.LayerTypeTCP).(*packet.TCP); ok {
-			if tcp.SYN && !tcp.ACK && tcp.DstPort == 443 {
-				syns443++
-			}
-		}
-	}
-	if syns443 == 0 {
-		t.Fatal("no HTTPS SYNs in capture")
-	}
-	// Timestamps are virtual-clock times.
-	if recs[0].Time.Before(vclock.Epoch) {
-		t.Fatalf("timestamp %v before virtual epoch", recs[0].Time)
 	}
 }
 

@@ -8,8 +8,8 @@
 // The device sits between the browser emulators and the virtual internet:
 // every connection an app opens goes through DialContext, which resolves
 // the destination, evaluates the netfilter OUTPUT path (diverting browser
-// UIDs into the proxy with the original destination preserved), fires the
-// eBPF hooks, and synthesises packets for the capture tap.
+// UIDs into the proxy with the original destination preserved), and fires
+// the eBPF hooks.
 package device
 
 import (
@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"net"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -70,7 +71,6 @@ type Device struct {
 	nextUID  int
 	storage  map[string]map[string]string // package -> key -> value
 	roots    []*x509.Certificate
-	tap      Tap
 	stub     *StubResolver
 	rooted   bool
 	// dialFault, when set, is consulted at the top of DialContext with the
@@ -90,12 +90,6 @@ func (d *Device) dialFaultFn() func(uid int, host, addr string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.dialFault
-}
-
-// Tap receives synthesised packets from the network stack. Implementations
-// must be safe for concurrent use.
-type Tap interface {
-	Packet(data []byte)
 }
 
 // New creates a device wired to a virtual internet and clock.
@@ -230,11 +224,6 @@ func (d *Device) SetRooted(v bool) { d.mu.Lock(); d.rooted = v; d.mu.Unlock() }
 // Rooted reports the rooted status.
 func (d *Device) Rooted() bool { d.mu.Lock(); defer d.mu.Unlock(); return d.rooted }
 
-// SetTap installs the packet capture tap (nil disables capture).
-func (d *Device) SetTap(t Tap) { d.mu.Lock(); d.tap = t; d.mu.Unlock() }
-
-func (d *Device) getTap() Tap { d.mu.Lock(); defer d.mu.Unlock(); return d.tap }
-
 // Resolver returns the device's local DNS stub resolver.
 func (d *Device) Resolver() *StubResolver { return d.stub }
 
@@ -255,14 +244,17 @@ func (e *ErrFirewallDrop) Error() string {
 // verdict diverts the connection to the proxy with the original
 // destination preserved in the connection metadata; a DROP verdict fails
 // the dial. eBPF sock_create programs may also veto the socket. Byte
-// hooks feed the per-UID accounting maps and the capture tap.
+// hooks feed the per-UID accounting maps. A port outside 1-65535 fails the
+// dial before any hook or rule sees it.
 func (d *Device) DialContext(ctx context.Context, uid int, addr string) (net.Conn, error) {
 	host, portStr, err := net.SplitHostPort(addr)
 	if err != nil {
 		return nil, fmt.Errorf("device: dial %s: %w", addr, err)
 	}
-	var port int
-	fmt.Sscanf(portStr, "%d", &port)
+	port, err := strconv.Atoi(portStr)
+	if err != nil || port < 1 || port > 65535 {
+		return nil, fmt.Errorf("device: dial %s: invalid port %q", addr, portStr)
+	}
 
 	if fn := d.dialFaultFn(); fn != nil {
 		if ferr := fn(uid, host, addr); ferr != nil {
@@ -315,28 +307,20 @@ func (d *Device) DialContext(ctx context.Context, uid int, addr string) (net.Con
 		return nil, err
 	}
 
-	d.instrumentConn(conn, uid, dstIP, port)
+	d.instrumentConn(conn, uid, port)
 	return conn, nil
 }
 
-// instrumentConn wires accounting and capture to a new connection.
-func (d *Device) instrumentConn(conn *netsim.Conn, uid int, dstIP net.IP, dstPort int) {
-	srcPort := 0
-	if ta, ok := conn.LocalAddr().(*net.TCPAddr); ok {
-		srcPort = ta.Port
-	}
-	d.emitHandshake(dstIP, srcPort, dstPort)
+// instrumentConn wires the per-UID eBPF byte accounting to a new connection.
+func (d *Device) instrumentConn(conn *netsim.Conn, uid, dstPort int) {
 	conn.SetByteHooks(
 		func(n int) {
 			d.Hooks.Fire(ebpfsim.AttachEgress, &ebpfsim.Context{UID: uid, Proto: "tcp", DstPort: dstPort, Bytes: n})
-			d.emitData(true, dstIP, srcPort, dstPort, n)
 		},
 		func(n int) {
 			d.Hooks.Fire(ebpfsim.AttachIngress, &ebpfsim.Context{UID: uid, Proto: "tcp", DstPort: dstPort, Bytes: n})
-			d.emitData(false, dstIP, srcPort, dstPort, n)
 		},
 	)
-	conn.SetCloseHook(func() { d.emitFin(dstIP, srcPort, dstPort) })
 }
 
 // SendUDP sends a datagram from the app with the given UID, subject to
@@ -362,7 +346,6 @@ func (d *Device) SendUDP(uid int, dstHost string, dstPort int, payload []byte) (
 		return false, &ErrFirewallDrop{Addr: fmt.Sprintf("%s:%d", dstHost, dstPort), Rule: "udp drop"}
 	}
 	d.Hooks.Fire(ebpfsim.AttachEgress, &ebpfsim.Context{UID: uid, Proto: "udp", DstPort: dstPort, Bytes: len(payload)})
-	d.emitUDP(dstIP, dstPort, payload)
 	delivered := d.Net.SendUDP(&net.UDPAddr{IP: d.IP, Port: 30000 + uid%20000}, &net.UDPAddr{IP: dstIP, Port: dstPort}, payload)
 	return delivered, nil
 }

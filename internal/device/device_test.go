@@ -1,7 +1,6 @@
 package device
 
 import (
-	"bytes"
 	"context"
 	"crypto/x509"
 	"errors"
@@ -13,7 +12,6 @@ import (
 	"panoptes/internal/dnsmsg"
 	"panoptes/internal/ebpfsim"
 	"panoptes/internal/netsim"
-	"panoptes/internal/pcap"
 	"panoptes/internal/pki"
 	"panoptes/internal/vclock"
 )
@@ -286,52 +284,6 @@ func TestStubResolverWireExchange(t *testing.T) {
 	}
 }
 
-func TestCaptureTapSeesHandshakeAndData(t *testing.T) {
-	d, inet := newTestDevice(t)
-	startEcho(t, inet, "cap.example", "US", 80)
-	tap := &CountingTap{}
-	d.SetTap(tap)
-	p := d.Install("com.app")
-	conn, err := d.DialContext(context.Background(), p.UID, "cap.example:80")
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.Write([]byte("data"))
-	buf := make([]byte, 4)
-	io.ReadFull(conn, buf)
-	conn.Close()
-	// SYN+SYNACK+ACK + 1 egress + 1 ingress + FIN = 6 minimum.
-	if tap.Count() < 6 {
-		t.Fatalf("tap packets = %d, want >= 6", tap.Count())
-	}
-}
-
-func TestPcapTapProducesReadableCapture(t *testing.T) {
-	d, inet := newTestDevice(t)
-	startEcho(t, inet, "pcap.example", "US", 80)
-	var buf bytes.Buffer
-	tap := NewPcapTap(d, pcap.NewWriter(&buf, 0))
-	d.SetTap(tap)
-	p := d.Install("com.app")
-	conn, _ := d.DialContext(context.Background(), p.UID, "pcap.example:80")
-	conn.Write([]byte("x"))
-	rb := make([]byte, 1)
-	io.ReadFull(conn, rb)
-	conn.Close()
-
-	r, err := pcap.NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != tap.Count() || len(recs) < 6 {
-		t.Fatalf("records = %d, tap count = %d", len(recs), tap.Count())
-	}
-}
-
 func TestDialUnknownHost(t *testing.T) {
 	d, _ := newTestDevice(t)
 	p := d.Install("com.app")
@@ -340,6 +292,65 @@ func TestDialUnknownHost(t *testing.T) {
 	}
 	if _, err := d.DialContext(context.Background(), p.UID, "no-port"); err == nil {
 		t.Fatal("dial without port succeeded")
+	}
+}
+
+func TestDialRejectsMalformedPort(t *testing.T) {
+	d, inet := newTestDevice(t)
+	startEcho(t, inet, "web.example", "US", 443)
+	proxyL, err := inet.ListenIP(d.IP, 8080)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for {
+			c, err := proxyL.Accept()
+			if err != nil {
+				return
+			}
+			c.Close()
+		}
+	}()
+	t.Cleanup(func() { proxyL.Close() })
+
+	p := d.Install("com.opera.browser")
+	if err := d.DivertBrowser(p.UID, "192.168.1.100:8080"); err != nil {
+		t.Fatal(err)
+	}
+	var sockCreates, dialFaults int
+	if err := d.Hooks.Load(&ebpfsim.Program{
+		Name: "count_sock_create", Type: ebpfsim.AttachSockCreate, MaxInstructions: 4,
+		Run: func(*ebpfsim.Context) ebpfsim.Action { sockCreates++; return ebpfsim.ActionPass },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	d.SetDialFault(func(int, string, string) error { dialFaults++; return nil })
+
+	for _, addr := range []string{
+		"web.example:abc",
+		"web.example:",
+		"web.example:70000",
+		"web.example:65536",
+		"web.example:0",
+		"web.example:-1",
+	} {
+		if conn, err := d.DialContext(context.Background(), p.UID, addr); err == nil {
+			conn.Close()
+			t.Errorf("dial %q succeeded", addr)
+		}
+	}
+	if sockCreates != 0 || dialFaults != 0 {
+		t.Fatalf("malformed ports reached the stack: sock_create=%d dial faults=%d", sockCreates, dialFaults)
+	}
+
+	// A well-formed port still passes through every hook and the redirect.
+	conn, err := d.DialContext(context.Background(), p.UID, "web.example:65535")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	if sockCreates != 1 || dialFaults != 1 {
+		t.Fatalf("valid dial: sock_create=%d dial faults=%d, want 1 and 1", sockCreates, dialFaults)
 	}
 }
 

@@ -160,7 +160,6 @@ type Conn struct {
 	remote    net.Addr
 	meta      Meta
 	closeOnce sync.Once
-	onClose   func()
 	wrote     func(int) // byte accounting hook, may be nil
 	readCount func(int)
 }
@@ -201,9 +200,6 @@ func (c *Conn) Close() error {
 	c.closeOnce.Do(func() {
 		c.wr.close()
 		c.rd.close()
-		if c.onClose != nil {
-			c.onClose()
-		}
 	})
 	return nil
 }
@@ -244,16 +240,12 @@ func (c *Conn) SetMeta(m Meta) { c.meta = m }
 
 // SetByteHooks installs per-direction byte counters: onWrite runs with the
 // size of every successful Write, onRead with the size of every successful
-// Read. The device network stack wires these to its eBPF-style traffic
-// accounting and capture tap. Either hook may be nil.
+// Read. The device network stack wires these to its eBPF-style per-UID
+// traffic accounting. Either hook may be nil.
 func (c *Conn) SetByteHooks(onWrite, onRead func(n int)) {
 	c.wrote = onWrite
 	c.readCount = onRead
 }
-
-// SetCloseHook installs a callback that runs once when the connection
-// closes.
-func (c *Conn) SetCloseHook(fn func()) { c.onClose = fn }
 
 // BufferedForRead reports the number of bytes waiting to be read. Tests
 // use it to assert drain behaviour.

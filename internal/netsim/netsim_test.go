@@ -509,17 +509,25 @@ func TestPropertyAllocWithinCountryBlock(t *testing.T) {
 
 func TestByteAndCloseHooks(t *testing.T) {
 	a, b := Pair(TCPAddr(net.IPv4(1, 1, 1, 1), 1), TCPAddr(net.IPv4(2, 2, 2, 2), 2), Meta{})
-	var wrote, read, closed int
+	var wrote, read int
 	a.SetByteHooks(func(n int) { wrote += n }, func(n int) { read += n })
-	a.SetCloseHook(func() { closed++ })
 	a.Write([]byte("12345"))
 	go b.Write([]byte("abc"))
 	buf := make([]byte, 3)
 	io.ReadFull(a, buf)
-	a.Close()
-	a.Close() // close hook fires once
-	if wrote != 5 || read != 3 || closed != 1 {
-		t.Fatalf("wrote=%d read=%d closed=%d", wrote, read, closed)
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil { // a second close is a no-op
+		t.Fatal(err)
+	}
+	if wrote != 5 || read != 3 {
+		t.Fatalf("wrote=%d read=%d", wrote, read)
+	}
+	// The peer drains what was written, then sees EOF.
+	got, err := io.ReadAll(b)
+	if err != nil || string(got) != "12345" {
+		t.Fatalf("peer read %q, %v", got, err)
 	}
 }
 

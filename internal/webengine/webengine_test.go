@@ -165,6 +165,8 @@ func TestResolveCalledOncePerHost(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
+	// Sub-resource fetches resolve distinct hosts concurrently.
+	var mu sync.Mutex
 	resolved := map[string]int{}
 	e := New(Config{
 		UserAgent: "t",
@@ -172,7 +174,7 @@ func TestResolveCalledOncePerHost(t *testing.T) {
 			return inet.Dial(ctx, addr)
 		},
 		TLS:     ca.TLSClientTemplate(nil),
-		Resolve: func(host string) error { resolved[host]++; return nil },
+		Resolve: func(host string) error { mu.Lock(); resolved[host]++; mu.Unlock(); return nil },
 	})
 	e.Navigate(sites[0].URL())
 	e.Navigate(sites[0].URL())

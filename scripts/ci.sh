@@ -27,9 +27,9 @@ go build ./...
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -race (obs, mitm, connpool, capture, netsim, vendorsim, websim: proxy conn handlers + idle pools + flow recycling + shared pipe segments)"
+echo "==> go test -race (obs, mitm, connpool, capture, netsim, device, ebpfsim, vendorsim, websim: proxy conn handlers + idle pools + flow recycling + shared pipe segments + lock-free per-conn byte hooks)"
 go test -race ./internal/obs/... ./internal/mitm/... ./internal/connpool/... ./internal/capture/... \
-    ./internal/netsim/... ./internal/vendorsim/... ./internal/websim/...
+    ./internal/netsim/... ./internal/device/... ./internal/ebpfsim/... ./internal/vendorsim/... ./internal/websim/...
 
 echo "==> go test -race (webengine: concurrent sub-resource fetches)"
 go test -race ./internal/webengine/...
