@@ -73,6 +73,18 @@ func study(b *testing.B) (*core.World, []string) {
 	return benchStudy.world, benchStudy.names
 }
 
+// injectedBrowsers names the fleet browsers whose engine-side history
+// leaks come from a script they inject into pages.
+func injectedBrowsers() []string {
+	var out []string
+	for _, p := range profiles.All() {
+		if p.InjectsScript {
+			out = append(out, p.Name)
+		}
+	}
+	return out
+}
+
 // BenchmarkTable1Dataset regenerates Table 1 (the browser dataset).
 func BenchmarkTable1Dataset(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -89,11 +101,11 @@ func BenchmarkTable1Dataset(b *testing.B) {
 // BenchmarkFig2RequestCounts regenerates Figure 2 and reports the two
 // headline ratios.
 func BenchmarkFig2RequestCounts(b *testing.B) {
-	w, names := study(b)
+	w, _ := study(b)
 	var rows []analysis.Fig2Row
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = analysis.Fig2(w.DB, names)
+		rows = w.Suite.Fig2.Rows()
 		report.Fig2(io.Discard, rows)
 	}
 	for _, r := range rows {
@@ -108,11 +120,11 @@ func BenchmarkFig2RequestCounts(b *testing.B) {
 
 // BenchmarkFig3AdDomains regenerates Figure 3 and reports Kiwi's share.
 func BenchmarkFig3AdDomains(b *testing.B) {
-	w, names := study(b)
+	w, _ := study(b)
 	var rows []analysis.Fig3Row
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = analysis.Fig3(w.DB.Native, w.Hostlist, names)
+		rows = w.Suite.Fig3.Rows()
 		report.Fig3(io.Discard, rows)
 	}
 	for _, r := range rows {
@@ -125,11 +137,11 @@ func BenchmarkFig3AdDomains(b *testing.B) {
 // BenchmarkFig4TrafficVolume regenerates Figure 4 and reports QQ's
 // overhead.
 func BenchmarkFig4TrafficVolume(b *testing.B) {
-	w, names := study(b)
+	w, _ := study(b)
 	var rows []analysis.Fig4Row
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = analysis.Fig4(w.DB, names)
+		rows = w.Suite.Fig4.Rows()
 		report.Fig4(io.Discard, rows)
 	}
 	for _, r := range rows {
@@ -145,7 +157,7 @@ func BenchmarkTable2PIIMatrix(b *testing.B) {
 	b.ResetTimer()
 	var leakers int
 	for i := 0; i < b.N; i++ {
-		m, _ := analysis.Table2(w.DB.Native, names)
+		m := w.Suite.PII.Matrix()
 		report.Table2(io.Discard, m, names)
 		leakers = 0
 		for _, n := range names {
@@ -160,15 +172,13 @@ func BenchmarkTable2PIIMatrix(b *testing.B) {
 // BenchmarkFig5IdleTimeline regenerates the idle timelines and reports
 // Opera's linearity against the burst-shaped field.
 func BenchmarkFig5IdleTimeline(b *testing.B) {
-	w, names := study(b)
-	_ = w
+	_, names := study(b)
 	var series []analysis.Fig5Series
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		series = series[:0]
 		for _, n := range names {
-			r := benchStudy.idle[n]
-			series = append(series, analysis.Fig5(n, r.Flows, r.Start, 10*time.Minute, 10))
+			series = append(series, benchStudy.idle[n].Series)
 		}
 		report.Fig5(io.Discard, series)
 	}
@@ -188,7 +198,7 @@ func BenchmarkHistoryLeakDetection(b *testing.B) {
 	var findings []leak.Finding
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		findings = analysis.HistoryLeaksWithInjected(w.DB, []string{"UC International"})
+		findings = analysis.CombineInjectedLeaks(w.Suite.LeakNative.Findings(), w.Suite.LeakEngine.Findings(), injectedBrowsers())
 	}
 	full := map[string]bool{}
 	for _, f := range findings {
@@ -214,7 +224,7 @@ func BenchmarkIncognitoLeaks(b *testing.B) {
 			b.Fatal(err)
 		}
 		incog := 0
-		for _, f := range analysis.HistoryLeaks(w.DB.Native) {
+		for _, f := range w.Suite.LeakNative.Findings() {
 			if f.Incognito {
 				incog++
 			}
@@ -248,7 +258,7 @@ func BenchmarkSensitiveLeaks(b *testing.B) {
 			b.Fatal(err)
 		}
 		leaks := 0
-		for _, f := range analysis.HistoryLeaks(w.DB.Native) {
+		for _, f := range w.Suite.LeakNative.Findings() {
 			if f.Kind == leak.KindFullURL {
 				leaks++
 			}
@@ -268,7 +278,7 @@ func BenchmarkGeoTransfers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	findings := analysis.HistoryLeaksWithInjected(w.DB, []string{"UC International"})
+	findings := analysis.CombineInjectedLeaks(w.Suite.LeakNative.Findings(), w.Suite.LeakEngine.Findings(), injectedBrowsers())
 	var rows []analysis.GeoRow
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -293,7 +303,7 @@ func BenchmarkListing1OperaAdRequest(b *testing.B) {
 	w, _ := study(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		body, _ := analysis.Listing1(w.DB.Native)
+		body, _ := w.Suite.Listing1.Result()
 		if body == "" {
 			b.Fatal("listing 1 not captured")
 		}
@@ -312,7 +322,7 @@ func BenchmarkAblationUIDOnlySplit(b *testing.B) {
 	var lost int
 	for i := 0; i < b.N; i++ {
 		totals := analysis.UIDOnlySplit(w.DB, names)
-		rows := analysis.Fig2(w.DB, names)
+		rows := w.Suite.Fig2.Rows()
 		lost = 0
 		for _, r := range rows {
 			// Native requests indistinguishable from engine ones under
@@ -451,12 +461,12 @@ func BenchmarkAblationH3Block(b *testing.B) {
 // the full encoding set on a store of Base64-encoded leaks (Yandex's
 // actual wire format).
 func BenchmarkAblationLeakEncodings(b *testing.B) {
-	store := capture.NewStore()
+	var flows []*capture.Flow
 	visit := "https://mentalhealth-support.org/"
 	for i := 0; i < 200; i++ {
-		store.Add(&capture.Flow{
+		flows = append(flows, &capture.Flow{
 			ID: capture.NextFlowID(), Browser: "Yandex", Host: "sba.yandex.net",
-			Path: "/safebrowsing/check", VisitURL: visit,
+			Origin: capture.OriginNative, Path: "/safebrowsing/check", VisitURL: visit,
 			RawQuery: "url=" + base64.StdEncoding.EncodeToString([]byte(visit)),
 		})
 	}
@@ -470,7 +480,11 @@ func BenchmarkAblationLeakEncodings(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var found int
 			for i := 0; i < b.N; i++ {
-				found = len(det.Scan(store))
+				s := leak.NewStreamScanner(det, capture.OriginNative)
+				for _, f := range flows {
+					s.Observe(f)
+				}
+				found = len(s.Findings())
 			}
 			b.ReportMetric(float64(found)/200*100, "detection_pct")
 		})
@@ -555,7 +569,7 @@ func BenchmarkStreamingRetention(b *testing.B) {
 // BenchmarkAnalysisStreamingVsBatch compares producing every figure
 // from the live streaming suite (already folded in during the crawl —
 // rendering is all that remains) against replaying the retained stores
-// through the batch wrappers.
+// through a fresh suite, as an offline analysis does.
 func BenchmarkAnalysisStreamingVsBatch(b *testing.B) {
 	w, names := study(b)
 	b.Run("streaming", func(b *testing.B) {
@@ -567,14 +581,15 @@ func BenchmarkAnalysisStreamingVsBatch(b *testing.B) {
 			report.Leaks(io.Discard, leak.Summarise(w.Suite.LeakNative.Findings()))
 		}
 	})
-	b.Run("batch", func(b *testing.B) {
+	b.Run("replay", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			report.Fig2(io.Discard, analysis.Fig2(w.DB, names))
-			report.Fig3(io.Discard, analysis.Fig3(w.DB.Native, w.Hostlist, names))
-			report.Fig4(io.Discard, analysis.Fig4(w.DB, names))
-			m, _ := analysis.Table2(w.DB.Native, names)
-			report.Table2(io.Discard, m, names)
-			report.Leaks(io.Discard, leak.Summarise(analysis.HistoryLeaks(w.DB.Native)))
+			s := analysis.NewSuite(w.Hostlist, names)
+			s.Replay(w.DB)
+			report.Fig2(io.Discard, s.Fig2.Rows())
+			report.Fig3(io.Discard, s.Fig3.Rows())
+			report.Fig4(io.Discard, s.Fig4.Rows())
+			report.Table2(io.Discard, s.PII.Matrix(), names)
+			report.Leaks(io.Discard, leak.Summarise(s.LeakNative.Findings()))
 		}
 	})
 }

@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -19,6 +21,7 @@ import (
 	"panoptes/internal/capture"
 	"panoptes/internal/hostlist"
 	"panoptes/internal/leak"
+	"panoptes/internal/profiles"
 	"panoptes/internal/report"
 )
 
@@ -42,12 +45,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, "panoptes-report: need -dir or -native")
 		os.Exit(2)
 	}
-
-	db := capture.NewDB()
-	if *enginePath != "" {
-		loadInto(db.Engine, *enginePath)
+	if err := run(os.Stdout, *enginePath, *nativePath); err != nil {
+		fmt.Fprintf(os.Stderr, "panoptes-report: %v\n", err)
+		os.Exit(1)
 	}
-	loadInto(db.Native, *nativePath)
+}
+
+// run loads the databases (enginePath may be empty), replays them
+// through a fresh analysis suite and renders the report to w.
+func run(w io.Writer, enginePath, nativePath string) error {
+	db := capture.NewDB()
+	if enginePath != "" {
+		if err := loadInto(db.Engine, enginePath); err != nil {
+			return err
+		}
+	}
+	if err := loadInto(db.Native, nativePath); err != nil {
+		return err
+	}
 
 	// Browser names come from the data itself.
 	namesSet := map[string]bool{}
@@ -58,47 +73,52 @@ func main() {
 		namesSet[f.Browser] = true
 	}
 	delete(namesSet, "")
-	var names []string
+	var names, injected []string
 	for n := range namesSet {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	if len(names) == 0 {
-		fmt.Fprintln(os.Stderr, "panoptes-report: no browser-attributed flows found")
-		os.Exit(1)
+		return errors.New("no browser-attributed flows found")
 	}
+	for _, n := range names {
+		if p := profiles.ByName(n); p != nil && p.InjectsScript {
+			injected = append(injected, n)
+		}
+	}
+
+	suite := analysis.NewSuite(hostlist.Bundled(), names)
+	suite.Replay(db)
 
 	if db.Engine.Len() > 0 {
-		report.Fig2(os.Stdout, analysis.Fig2(db, names))
-		fmt.Println()
-		report.Fig4(os.Stdout, analysis.Fig4(db, names))
-		fmt.Println()
+		report.Fig2(w, suite.Fig2.Rows())
+		fmt.Fprintln(w)
+		report.Fig4(w, suite.Fig4.Rows())
+		fmt.Fprintln(w)
 	}
-	report.Fig3(os.Stdout, analysis.Fig3(db.Native, hostlist.Bundled(), names))
-	fmt.Println()
-	m, _ := analysis.Table2(db.Native, names)
-	report.Table2(os.Stdout, m, names)
-	fmt.Println()
-	findings := analysis.HistoryLeaksWithInjected(db, []string{"UC International"})
-	report.Leaks(os.Stdout, leak.Summarise(findings))
-	fmt.Println()
-	report.DNS(os.Stdout, analysis.DNSUsage(db.Native, names), names)
-	body, _ := analysis.Listing1(db.Native)
-	if body != "" {
-		fmt.Println()
-		report.Listing1(os.Stdout, body)
+	report.Fig3(w, suite.Fig3.Rows())
+	fmt.Fprintln(w)
+	report.Table2(w, suite.PII.Matrix(), names)
+	fmt.Fprintln(w)
+	findings := analysis.CombineInjectedLeaks(suite.LeakNative.Findings(), suite.LeakEngine.Findings(), injected)
+	report.Leaks(w, leak.Summarise(findings))
+	fmt.Fprintln(w)
+	report.DNS(w, suite.DNS.Usage(), names)
+	if body, _ := suite.Listing1.Result(); body != "" {
+		fmt.Fprintln(w)
+		report.Listing1(w, body)
 	}
+	return nil
 }
 
-func loadInto(s *capture.Store, path string) {
+func loadInto(s *capture.Store, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "panoptes-report: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	defer f.Close()
 	if err := s.ReadJSONL(f); err != nil {
-		fmt.Fprintf(os.Stderr, "panoptes-report: parse %s: %v\n", path, err)
-		os.Exit(1)
+		return fmt.Errorf("parse %s: %w", path, err)
 	}
+	return nil
 }

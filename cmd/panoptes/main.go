@@ -477,7 +477,7 @@ func main() {
 				if err != nil {
 					fatalf("idle %s: %v", name, err)
 				}
-				s := analysis.Fig5(name, r.Flows, r.Start, *idleDur, 10)
+				s := r.Series
 				series = append(series, s)
 				if *outDir != "" {
 					fn := fmt.Sprintf("fig5_%s.csv", strings.ReplaceAll(strings.ToLower(name), " ", "_"))

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"log"
 
-	"panoptes/internal/analysis"
 	"panoptes/internal/blocker"
 	"panoptes/internal/core"
 	"panoptes/internal/profiles"
@@ -73,7 +72,7 @@ func run(protect bool) {
 		s := b.Stats()
 		fmt.Printf("   blocker: %d/%d native requests vetoed (%v); %d engine flows passed\n",
 			s.NativeBlocked, s.NativeExamined, s.ByReason, s.EnginePassed)
-		remaining := analysis.HistoryLeaks(world.DB.Native)
+		remaining := world.Suite.LeakNative.Findings()
 		delivered := 0
 		for _, f := range remaining {
 			for _, fl := range world.DB.Native.All() {

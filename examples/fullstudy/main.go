@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"time"
 
-	"panoptes/internal/analysis"
 	"panoptes/internal/core"
 	"panoptes/internal/profiles"
 	"panoptes/internal/report"
@@ -46,17 +45,19 @@ func main() {
 	fmt.Printf("crawled %d visits across %d browsers in %v\n\n",
 		len(res.Visits), len(names), time.Since(start).Round(time.Millisecond))
 
-	report.Fig2(os.Stdout, analysis.Fig2(world.DB, names))
+	// The world's analysis suite folded every figure in on the commit
+	// tap while the crawl ran.
+	suite := world.Suite
+	report.Fig2(os.Stdout, suite.Fig2.Rows())
 	fmt.Println()
-	report.Fig3(os.Stdout, analysis.Fig3(world.DB.Native, world.Hostlist, names))
+	report.Fig3(os.Stdout, suite.Fig3.Rows())
 	fmt.Println()
-	report.Fig4(os.Stdout, analysis.Fig4(world.DB, names))
+	report.Fig4(os.Stdout, suite.Fig4.Rows())
 	fmt.Println()
-	m, findings := analysis.Table2(world.DB.Native, names)
-	report.Table2(os.Stdout, m, names)
-	fmt.Printf("\n%d individual PII findings across all native flows\n", len(findings))
+	report.Table2(os.Stdout, suite.PII.Matrix(), names)
+	fmt.Printf("\n%d individual PII findings across all native flows\n", len(suite.PII.Findings()))
 
-	body, _ := analysis.Listing1(world.DB.Native)
+	body, _ := suite.Listing1.Result()
 	fmt.Println()
 	report.Listing1(os.Stdout, body)
 }

@@ -33,7 +33,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("idle %s: %v", p.Name, err)
 		}
-		series = append(series, analysis.Fig5(p.Name, r.Flows, r.Start, duration, 10))
+		series = append(series, r.Series)
 	}
 	sort.Slice(series, func(i, j int) bool { return series[i].Total > series[j].Total })
 	report.Fig5(os.Stdout, series)

@@ -25,6 +25,12 @@ func main() {
 		log.Fatal(err)
 	}
 	defer world.Close()
+	var injected []string
+	for _, p := range selected {
+		if p.InjectsScript {
+			injected = append(injected, p.Name)
+		}
+	}
 
 	count := func(incognito bool) (map[string]int, []string) {
 		world.DB.Reset()
@@ -32,7 +38,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		findings := analysis.HistoryLeaksWithInjected(world.DB, []string{"UC International"})
+		// DB.Reset also reset the world's analysis suite, so its
+		// findings cover this campaign only.
+		findings := analysis.CombineInjectedLeaks(
+			world.Suite.LeakNative.Findings(), world.Suite.LeakEngine.Findings(), injected)
 		out := map[string]int{}
 		for _, f := range findings {
 			if f.Incognito == incognito {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"log"
 
-	"panoptes/internal/analysis"
 	"panoptes/internal/capture"
 	"panoptes/internal/core"
 	"panoptes/internal/profiles"
@@ -49,7 +48,8 @@ func main() {
 	}
 
 	// And the headline finding: the browsing history leaves the device.
-	findings := analysis.HistoryLeaks(world.DB.Native)
+	// The world's analysis suite scanned each flow as it was filed.
+	findings := world.Suite.LeakNative.Findings()
 	fmt.Printf("\nhistory-leak findings: %d\n", len(findings))
 	for _, f := range findings[:min(3, len(findings))] {
 		fmt.Printf("  %s leaked %q to %s (%s, %s)\n",

@@ -44,7 +44,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	findings := analysis.HistoryLeaksWithInjected(world.DB, []string{"UC International"})
+	var injected []string
+	for _, p := range selected {
+		if p.InjectsScript {
+			injected = append(injected, p.Name)
+		}
+	}
+	findings := analysis.CombineInjectedLeaks(
+		world.Suite.LeakNative.Findings(), world.Suite.LeakEngine.Findings(), injected)
 	// Count full-URL leaks per browser: one per visit means no local
 	// filtering of sensitive content.
 	perBrowser := map[string]int{}

@@ -6,29 +6,23 @@
 // history-leak findings (via internal/leak), the §3.4 international
 // transfer mapping, and the DoH-vs-stub resolver split.
 //
-// Everything here derives from the flow databases the MITM proxy
-// produced — the same vantage the paper's authors had.
+// Everything here derives from the flows the MITM proxy committed — the
+// same vantage the paper's authors had. The analyses are the streaming
+// analyzers of stream.go: a campaign folds them in on the commit tap,
+// and an offline run over stored databases replays the stores through
+// a fresh Suite.
 package analysis
 
 import (
 	"fmt"
 	"net"
 	"sort"
-	"time"
 
 	"panoptes/internal/capture"
 	"panoptes/internal/ebpfsim"
 	"panoptes/internal/geoip"
-	"panoptes/internal/hostlist"
 	"panoptes/internal/leak"
-	"panoptes/internal/pii"
 )
-
-// The batch functions below are the replay drive mode of the
-// incremental analyzers in stream.go: each builds a fresh analyzer,
-// replays the store(s) through it in insertion order and finalizes.
-// Streaming a campaign through the commit tap produces byte-identical
-// results (enforced by TestFaultCampaignDeterminism's golden check).
 
 // Fig2Row is one browser's engine/native request counts (Figure 2).
 type Fig2Row struct {
@@ -36,24 +30,6 @@ type Fig2Row struct {
 	Engine  int
 	Native  int
 	Ratio   float64 // native / engine
-}
-
-// replayDB drives an analyzer with both databases' flows, engine first.
-func replayDB(db *capture.DB, a interface{ Observe(*capture.Flow) }) {
-	for _, f := range db.Engine.All() {
-		a.Observe(f)
-	}
-	for _, f := range db.Native.All() {
-		a.Observe(f)
-	}
-}
-
-// Fig2 computes request counts per browser by replaying both databases
-// through a Fig2Analyzer (each DB store stamps its origin on every flow).
-func Fig2(db *capture.DB, browsers []string) []Fig2Row {
-	a := NewFig2Analyzer(browsers)
-	replayDB(db, a)
-	return a.Rows()
 }
 
 // Fig3Row is one browser's native-destination ad share (Figure 3).
@@ -65,32 +41,12 @@ type Fig3Row struct {
 	AdDomainList    []string
 }
 
-// Fig3 computes, per browser, the share of distinct domains (FQDNs, as
-// captured) receiving native requests that the hosts list classifies as
-// ad/analytics-related, by replaying the native store through a
-// Fig3Analyzer.
-func Fig3(native *capture.Store, list *hostlist.List, browsers []string) []Fig3Row {
-	a := NewFig3Analyzer(list, browsers)
-	for _, f := range native.All() {
-		a.observe(f)
-	}
-	return a.Rows()
-}
-
 // Fig4Row is one browser's outgoing byte volumes (Figure 4).
 type Fig4Row struct {
 	Browser     string
 	EngineBytes int64
 	NativeBytes int64
 	OverheadPct float64 // native as % of engine
-}
-
-// Fig4 sums outgoing (request) bytes per browser by replaying both
-// databases through a Fig4Analyzer.
-func Fig4(db *capture.DB, browsers []string) []Fig4Row {
-	a := NewFig4Analyzer(browsers)
-	replayDB(db, a)
-	return a.Rows()
 }
 
 // TransportRow is one browser's per-transport flow coverage: how much
@@ -105,14 +61,6 @@ type TransportRow struct {
 	Total   int    `json:"total"`
 }
 
-// TransportCoverage counts flows per browser and transport by replaying
-// both databases through a TransportAnalyzer.
-func TransportCoverage(db *capture.DB, browsers []string) []TransportRow {
-	a := NewTransportAnalyzer(browsers)
-	replayDB(db, a)
-	return a.Rows()
-}
-
 // Fig5Series is one browser's idle timeline (Figure 5).
 type Fig5Series struct {
 	Browser    string
@@ -123,45 +71,6 @@ type Fig5Series struct {
 	// the idle requests.
 	DestShares map[string]float64
 	Total      int
-}
-
-// Fig5 bins a browser's idle flows into a cumulative timeline.
-func Fig5(browser string, flows []*capture.Flow, start time.Time, duration time.Duration, binSeconds int) Fig5Series {
-	if binSeconds <= 0 {
-		binSeconds = 10
-	}
-	nBins := int(duration.Seconds()) / binSeconds
-	if nBins <= 0 {
-		nBins = 1
-	}
-	counts := make([]int, nBins)
-	dests := map[string]int{}
-	total := 0
-	for _, f := range flows {
-		off := int(f.Time.Sub(start).Seconds()) / binSeconds
-		if off < 0 {
-			continue
-		}
-		if off >= nBins {
-			off = nBins - 1
-		}
-		counts[off]++
-		dests[hostlist.RegistrableDomain(f.Host)]++
-		total++
-	}
-	cum := make([]int, nBins)
-	running := 0
-	for i, c := range counts {
-		running += c
-		cum[i] = running
-	}
-	shares := make(map[string]float64, len(dests))
-	for d, c := range dests {
-		if total > 0 {
-			shares[d] = 100 * float64(c) / float64(total)
-		}
-	}
-	return Fig5Series{Browser: browser, BinSeconds: binSeconds, Cumulative: cum, DestShares: shares, Total: total}
 }
 
 // LinearityScore measures how linear a cumulative curve is: 1.0 means
@@ -187,18 +96,8 @@ func (s Fig5Series) LinearityScore() float64 {
 	return score
 }
 
-// Table2 builds the PII matrix from the native store.
-func Table2(native *capture.Store, browsers []string) (pii.Matrix, []pii.Finding) {
-	return pii.BuildMatrix(native, browsers)
-}
-
-// HistoryLeaks runs the §3.2 detector.
-func HistoryLeaks(native *capture.Store) []leak.Finding {
-	return leak.NewDetector().Scan(native)
-}
-
-// HistoryLeaksWithInjected combines native-side leaks (all browsers)
-// with engine-side leaks attributable to injected page scripts (UC
+// CombineInjectedLeaks combines native-side leaks (all browsers) with
+// engine-side leaks attributable to injected page scripts (UC
 // International). Engine traffic also carries the visited websites' own
 // third-party tracking (analytics beacons legitimately receive the page
 // URL) — §3.2's explicit non-goal — so engine findings are filtered
@@ -206,18 +105,8 @@ func HistoryLeaks(native *capture.Store) []leak.Finding {
 // non-injecting browser's engine is website-caused and dropped; a
 // destination unique to the injecting browser is the injection's beacon.
 // Without any non-injecting browser in the dataset the baseline is empty
-// and every engine finding for the injected browsers is kept.
-func HistoryLeaksWithInjected(db *capture.DB, injected []string) []leak.Finding {
-	if len(injected) == 0 {
-		return HistoryLeaks(db.Native)
-	}
-	return CombineInjectedLeaks(HistoryLeaks(db.Native), HistoryLeaks(db.Engine), injected)
-}
-
-// CombineInjectedLeaks implements the differential filter over
-// already-computed native and engine finding sets, so the streaming
-// path (which holds both sets incrementally) shares the exact logic
-// with the batch wrapper above.
+// and every engine finding for the injected browsers is kept. With no
+// injected browsers the result is the native findings alone.
 func CombineInjectedLeaks(native, engine []leak.Finding, injected []string) []leak.Finding {
 	out := native
 	if len(injected) == 0 {
@@ -290,27 +179,6 @@ func GeoTransfers(findings []leak.Finding, resolver HostResolver, geo *geoip.DB)
 	return rows, nil
 }
 
-// DNSUsage classifies each browser's resolver path from the captured
-// native flows ("doh-cloudflare", "doh-google" or "local") by
-// replaying the store through a DNSAnalyzer.
-func DNSUsage(native *capture.Store, browsers []string) map[string]string {
-	a := NewDNSAnalyzer(browsers)
-	for _, f := range native.All() {
-		a.observe(f)
-	}
-	return a.Usage()
-}
-
-// Listing1 finds a captured Opera OLeads ad request (the paper's
-// Listing 1) and returns its body, or "" when absent.
-func Listing1(native *capture.Store) (body string, query string) {
-	a := NewListing1Analyzer()
-	for _, f := range native.All() {
-		a.observe(f)
-	}
-	return a.Result()
-}
-
 // UIDOnlySplit is the ablation for the taint mechanism: classify flows
 // by UID alone, as a naive tool would. Every flow from a browser UID
 // collapses into one bucket, so the engine/native distinction — the
@@ -332,20 +200,12 @@ type VolumeCheck struct {
 	Consistent    bool
 }
 
-// CrossCheckVolumes validates Figure 4's proxy-side byte accounting
+// CrossCheckFrom validates Figure 4's proxy-side byte accounting
 // against the device's independent eBPF per-UID counters (the Android
 // netd-style egress maps). The kernel sees ciphertext — TLS records,
 // handshakes, DoH — so its per-UID egress must be at least the HTTP
-// request bytes the proxy reconstructed for the same app.
-func CrossCheckVolumes(db *capture.DB, acct *ebpfsim.TrafficAccounting, uidOf map[string]int) []VolumeCheck {
-	a := NewFig4Analyzer(nil)
-	replayDB(db, a)
-	return CrossCheckFrom(a.ReqBytesTotal, acct, uidOf)
-}
-
-// CrossCheckFrom is the source-agnostic form of CrossCheckVolumes:
-// proxyBytes supplies a browser's proxy-observed request bytes (the
-// streaming path passes the campaign suite's Fig4 analyzer).
+// request bytes the proxy reconstructed for the same app. proxyBytes
+// supplies those (a suite's Fig4Analyzer.ReqBytesTotal).
 func CrossCheckFrom(proxyBytes func(browser string) int64, acct *ebpfsim.TrafficAccounting, uidOf map[string]int) []VolumeCheck {
 	var rows []VolumeCheck
 	for browser, uid := range uidOf {
@@ -373,18 +233,6 @@ type TrackableID struct {
 	Values []string
 	// Sightings counts the flows carrying the parameter.
 	Sightings int
-}
-
-// TrackableIdentifiers mines the native store for long identifier-like
-// query values sent repeatedly to the same endpoint, and reports them
-// most-persistent first (fewest distinct values over most sightings),
-// by replaying the store through a TrackableAnalyzer.
-func TrackableIdentifiers(native *capture.Store) []TrackableID {
-	a := NewTrackableAnalyzer()
-	for _, f := range native.All() {
-		a.observe(f)
-	}
-	return a.IDs()
 }
 
 // SensitiveRow is one browser × category cell of the sensitive-content

@@ -2,6 +2,7 @@ package analysis_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"slices"
 	"strings"
 	"sync"
@@ -62,8 +63,8 @@ func rowFor(rows []analysis.Fig2Row, name string) analysis.Fig2Row {
 }
 
 func TestFig2Shape(t *testing.T) {
-	w, names := study(t)
-	rows := analysis.Fig2(w.DB, names)
+	w, _ := study(t)
+	rows := w.Suite.Fig2.Rows()
 	ratios := map[string]float64{}
 	for _, r := range rows {
 		if r.Engine == 0 {
@@ -95,8 +96,8 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	w, names := study(t)
-	rows := analysis.Fig3(w.DB.Native, w.Hostlist, names)
+	w, _ := study(t)
+	rows := w.Suite.Fig3.Rows()
 	pct := map[string]float64{}
 	nonzero := 0
 	for _, r := range rows {
@@ -149,8 +150,8 @@ func rowFor3(rows []analysis.Fig3Row, name string) analysis.Fig3Row {
 }
 
 func TestFig4Shape(t *testing.T) {
-	w, names := study(t)
-	rows := analysis.Fig4(w.DB, names)
+	w, _ := study(t)
+	rows := w.Suite.Fig4.Rows()
 	over := map[string]float64{}
 	for _, r := range rows {
 		over[r.Browser] = r.OverheadPct
@@ -171,8 +172,8 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestTable2MatchesPaper(t *testing.T) {
-	w, names := study(t)
-	m, _ := analysis.Table2(w.DB.Native, names)
+	w, _ := study(t)
+	m := w.Suite.PII.Matrix()
 
 	// The paper's Table 2, cell for cell.
 	want := map[string][]pii.Attribute{
@@ -208,8 +209,7 @@ func TestTable2MatchesPaper(t *testing.T) {
 
 func TestHistoryLeaksMatchPaper(t *testing.T) {
 	w, _ := study(t)
-	findings := analysis.HistoryLeaks(w.DB.Native)
-	sums := leak.Summarise(findings)
+	sums := leak.Summarise(w.Suite.LeakNative.Findings())
 	full := map[string][]string{}
 	domain := map[string][]string{}
 	for _, s := range sums {
@@ -249,8 +249,7 @@ func TestGeoTransfersMatchPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := analysis.HistoryLeaks(w.DB.Native)
-	rows, err := analysis.GeoTransfers(findings, w.Inet, geo)
+	rows, err := analysis.GeoTransfers(w.Suite.LeakNative.Findings(), w.Inet, geo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,8 +273,7 @@ func TestGeoTransfersMatchPaper(t *testing.T) {
 		t.Errorf("QQ full-URL receiver not in CN: %v", countries["QQ"])
 	}
 	// UC leaks through the engine; check the engine side explicitly.
-	ucFindings := analysis.HistoryLeaks(w.DB.Engine)
-	ucRows, err := analysis.GeoTransfers(ucFindings, w.Inet, geo)
+	ucRows, err := analysis.GeoTransfers(w.Suite.LeakEngine.Findings(), w.Inet, geo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,8 +289,8 @@ func TestGeoTransfersMatchPaper(t *testing.T) {
 }
 
 func TestDNSUsageSplit(t *testing.T) {
-	w, names := study(t)
-	usage := analysis.DNSUsage(w.DB.Native, names)
+	w, _ := study(t)
+	usage := w.Suite.DNS.Usage()
 	doh, local := 0, 0
 	for b, mode := range usage {
 		t.Logf("DNS %-16s %s", b, mode)
@@ -310,7 +308,7 @@ func TestDNSUsageSplit(t *testing.T) {
 
 func TestListing1Captured(t *testing.T) {
 	w, _ := study(t)
-	body, _ := analysis.Listing1(w.DB.Native)
+	body, _ := w.Suite.Listing1.Result()
 	if body == "" {
 		t.Fatal("no Opera OLeads request captured")
 	}
@@ -324,7 +322,7 @@ func TestListing1Captured(t *testing.T) {
 func TestUIDOnlySplitAblation(t *testing.T) {
 	w, names := study(t)
 	totals := analysis.UIDOnlySplit(w.DB, names)
-	rows := analysis.Fig2(w.DB, names)
+	rows := w.Suite.Fig2.Rows()
 	for _, r := range rows {
 		if totals[r.Browser] != r.Engine+r.Native {
 			t.Errorf("%s: uid-only %d != %d+%d", r.Browser, totals[r.Browser], r.Engine, r.Native)
@@ -334,13 +332,23 @@ func TestUIDOnlySplitAblation(t *testing.T) {
 
 func TestFig5UnitBinning(t *testing.T) {
 	start := time.Unix(1683900000, 0).UTC()
-	flows := []*capture.Flow{
+	a := analysis.NewFig5Analyzer([]string{"X", "Y"}, start, 2*time.Minute, 10)
+	for _, f := range []*capture.Flow{
 		{Host: "a.example", Time: start.Add(5 * time.Second)},
 		{Host: "a.example", Time: start.Add(15 * time.Second)},
 		{Host: "b.example", Time: start.Add(95 * time.Second)},
 		{Host: "b.example", Time: start.Add(700 * time.Second)}, // clamped to last bin
+		{Host: "c.example", Time: start.Add(-time.Minute)},      // before the window
+	} {
+		f.Browser, f.Origin = "X", capture.OriginNative
+		a.Observe(f)
 	}
-	s := analysis.Fig5("X", flows, start, 2*time.Minute, 10)
+	a.Observe(&capture.Flow{Browser: "X", Origin: capture.OriginEngine, Host: "d.example", Time: start})
+	series := a.Series()
+	if len(series) != 2 || series[0].Browser != "X" || series[1].Total != 0 || len(series[1].Cumulative) != 12 {
+		t.Fatalf("series = %+v", series)
+	}
+	s := series[0]
 	if len(s.Cumulative) != 12 {
 		t.Fatalf("bins = %d", len(s.Cumulative))
 	}
@@ -380,7 +388,7 @@ func TestHostlistRegression(t *testing.T) {
 
 func TestHistoryLeaksWithInjectedDifferential(t *testing.T) {
 	w, _ := study(t)
-	findings := analysis.HistoryLeaksWithInjected(w.DB, []string{"UC International"})
+	findings := analysis.CombineInjectedLeaks(w.Suite.LeakNative.Findings(), w.Suite.LeakEngine.Findings(), []string{"UC International"})
 	hosts := map[string]map[string]bool{}
 	for _, f := range findings {
 		if hosts[f.Browser] == nil {
@@ -411,7 +419,7 @@ func TestCrossCheckVolumes(t *testing.T) {
 	for _, n := range names {
 		uidOf[n] = w.Browsers[n].UID()
 	}
-	rows := analysis.CrossCheckVolumes(w.DB, w.Device.Accounting, uidOf)
+	rows := analysis.CrossCheckFrom(w.Suite.Fig4.ReqBytesTotal, w.Device.Accounting, uidOf)
 	if len(rows) != len(names) {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -431,7 +439,7 @@ func TestCrossCheckVolumes(t *testing.T) {
 
 func TestTrackableIdentifiersInStudy(t *testing.T) {
 	w, _ := study(t)
-	ids := analysis.TrackableIdentifiers(w.DB.Native)
+	ids := w.Suite.Trackable.IDs()
 	var yandex, opera *analysis.TrackableID
 	for i := range ids {
 		id := &ids[i]
@@ -460,8 +468,8 @@ func TestTrackableIdentifiersInStudy(t *testing.T) {
 }
 
 // TestJSONLReanalysis round-trips the capture databases through JSONL
-// (the cmd/panoptes-report path) and verifies the figures recompute
-// identically.
+// and replays them through a fresh suite (the cmd/panoptes-report path):
+// every analysis must recompute byte-identical to the live suite.
 func TestJSONLReanalysis(t *testing.T) {
 	w, names := study(t)
 	var engBuf, natBuf bytes.Buffer
@@ -478,24 +486,34 @@ func TestJSONLReanalysis(t *testing.T) {
 	if err := reloaded.Native.ReadJSONL(&natBuf); err != nil {
 		t.Fatal(err)
 	}
-	orig := analysis.Fig2(w.DB, names)
-	re := analysis.Fig2(reloaded, names)
-	for i := range orig {
-		if orig[i] != re[i] {
-			t.Fatalf("Fig2 row %d differs after JSONL round trip: %+v vs %+v", i, orig[i], re[i])
+	re := analysis.NewSuite(w.Hostlist, names)
+	re.Replay(reloaded)
+	for _, c := range []struct {
+		name           string
+		live, replayed any
+	}{
+		{"fig2", w.Suite.Fig2.Rows(), re.Fig2.Rows()},
+		{"fig3", w.Suite.Fig3.Rows(), re.Fig3.Rows()},
+		{"fig4", w.Suite.Fig4.Rows(), re.Fig4.Rows()},
+		{"table2", w.Suite.PII.Matrix(), re.PII.Matrix()},
+		{"leaks-native", w.Suite.LeakNative.Findings(), re.LeakNative.Findings()},
+		{"leaks-engine", w.Suite.LeakEngine.Findings(), re.LeakEngine.Findings()},
+		{"dns", w.Suite.DNS.Usage(), re.DNS.Usage()},
+		{"trackable", w.Suite.Trackable.IDs(), re.Trackable.IDs()},
+		{"listing1", w.Suite.Listing1.Finalize(), re.Listing1.Finalize()},
+		{"transport", w.Suite.Transport.Rows(), re.Transport.Rows()},
+	} {
+		lj, err := json.Marshal(c.live)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	m1, _ := analysis.Table2(w.DB.Native, names)
-	m2, _ := analysis.Table2(reloaded.Native, names)
-	for _, b := range names {
-		for _, c := range pii.Columns() {
-			if m1.Leaked(b, c) != m2.Leaked(b, c) {
-				t.Fatalf("Table2 %s/%s differs after round trip", b, c)
-			}
+		rj, err := json.Marshal(c.replayed)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(analysis.HistoryLeaks(w.DB.Native)) != len(analysis.HistoryLeaks(reloaded.Native)) {
-		t.Fatal("leak findings differ after round trip")
+		if !bytes.Equal(lj, rj) {
+			t.Errorf("%s differs after JSONL round trip:\nlive     %s\nreplayed %s", c.name, lj, rj)
+		}
 	}
 }
 
@@ -511,7 +529,7 @@ func TestSensitiveBreakdown(t *testing.T) {
 		}
 	}
 	catOf := func(u string) string { return cats[u] }
-	findings := analysis.HistoryLeaksWithInjected(w.DB, []string{"UC International"})
+	findings := analysis.CombineInjectedLeaks(w.Suite.LeakNative.Findings(), w.Suite.LeakEngine.Findings(), []string{"UC International"})
 	rows := analysis.SensitiveBreakdown(findings, sensVisits,
 		map[string]bool{"Yandex": true, "QQ": true, "UC International": true, "Brave": true}, catOf)
 

@@ -12,11 +12,11 @@ import (
 // engine's document and a sub-resource, then native phone-home traffic
 // with an identifier in the query, an identifier in a JSON body, a
 // telemetry beacon, a WebSocket frame and a DoH query.
-func benchFlows(b *testing.B, browser string) []*capture.Flow {
+func benchFlows(tb testing.TB, browser string) []*capture.Flow {
 	const uuid = "3929d87c-fa02-a943-7044-a54d3c0e7e6d"
 	doh, err := dnsmsg.NewQuery(7, "news.example", dnsmsg.TypeA).Pack()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	base := func(o capture.Origin, method, host, path string) *capture.Flow {
 		return &capture.Flow{

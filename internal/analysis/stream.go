@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"panoptes/internal/capture"
 	"panoptes/internal/hostlist"
@@ -14,17 +15,15 @@ import (
 	"panoptes/internal/pipeline"
 )
 
-// This file holds the incremental (streaming) forms of the package's
-// batch analyses. Each analyzer is a plain fold over committed flows:
-// the capture DB hands the commit tap an attempt's flows only once the
-// attempt seals and drops a faulted attempt's flows before any tap sees
-// them, so no analyzer keeps undo state. Each finalizes to output
-// byte-identical to the corresponding batch function — which is now a
-// thin wrapper that replays a store through the same analyzer (one
-// code path, two drive modes). Analyzers read only request-side fields
-// and canonicalize their output at Finalize (sorted rows, per-browser
-// maps), so results do not depend on how concurrent browsers' commit
-// streams interleave or on when in a visit the seal delivers them.
+// This file holds the package's analyzers. Each is a plain fold over
+// committed flows: the capture DB hands the commit tap an attempt's
+// flows only once the attempt seals and drops a faulted attempt's flows
+// before any tap sees them, so no analyzer keeps undo state. Analyzers
+// read only request-side fields and canonicalize their output at
+// Finalize (sorted rows, per-browser maps), so results do not depend on
+// how concurrent browsers' commit streams interleave, on when in a
+// visit the seal delivers them, or on whether the flows arrive live or
+// from a Suite.Replay of stored databases.
 
 // Fig2Analyzer counts engine/native requests per browser (Figure 2).
 type Fig2Analyzer struct {
@@ -97,10 +96,6 @@ func (a *Fig3Analyzer) Observe(f *capture.Flow) {
 	if f.Origin != capture.OriginNative {
 		return
 	}
-	a.observe(f)
-}
-
-func (a *Fig3Analyzer) observe(f *capture.Flow) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	b := f.Browser
@@ -194,7 +189,7 @@ func (a *Fig4Analyzer) Rows() []Fig4Row {
 }
 
 // ReqBytesTotal returns a browser's engine+native request bytes — the
-// proxy side of CrossCheckVolumes.
+// proxy side of CrossCheckFrom.
 func (a *Fig4Analyzer) ReqBytesTotal(browser string) int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -211,10 +206,10 @@ type dnsPick struct {
 }
 
 // DNSAnalyzer classifies each browser's resolver path from its native
-// flows ("doh-cloudflare", "doh-google" or "local"). The batch
-// DNSUsage let the last matching flow win; flow IDs increase along a
-// browser's sequential commit stream, so highest-ID evidence is the
-// same rule expressed order-insensitively.
+// flows ("doh-cloudflare", "doh-google" or "local"). The last matching
+// flow wins; flow IDs increase along a browser's sequential commit
+// stream, so highest-ID evidence is that rule expressed
+// order-insensitively.
 type DNSAnalyzer struct {
 	browsers []string
 
@@ -232,10 +227,6 @@ func (a *DNSAnalyzer) Observe(f *capture.Flow) {
 	if f.Origin != capture.OriginNative {
 		return
 	}
-	a.observe(f)
-}
-
-func (a *DNSAnalyzer) observe(f *capture.Flow) {
 	var mode string
 	switch f.Host {
 	case "cloudflare-dns.com":
@@ -284,7 +275,7 @@ func (a *DNSAnalyzer) Finalize() any { return a.Usage() }
 // (values travel in the flow that introduces them), then counts the
 // flow as a sighting of any known identifier of the same browser and
 // host that appears in its query or body — so a stable identifier's
-// sighting count equals the batch pass over the same flow order.
+// sighting count is the number of flows that carry it.
 type TrackableAnalyzer struct {
 	mu        sync.Mutex
 	values    map[string]map[string][]string // browser -> host?param -> first-seen values
@@ -304,10 +295,6 @@ func (a *TrackableAnalyzer) Observe(f *capture.Flow) {
 	if f.Origin != capture.OriginNative {
 		return
 	}
-	a.observe(f)
-}
-
-func (a *TrackableAnalyzer) observe(f *capture.Flow) {
 	hits := leak.ExtractIDs(f) // parsing happens outside the state lock
 	hay := f.RawQuery + string(f.Body)
 	if dec, err := url.QueryUnescape(f.RawQuery); err == nil {
@@ -374,8 +361,11 @@ func (a *TrackableAnalyzer) IDs() []TrackableID {
 		if out[i].Sightings != out[j].Sightings {
 			return out[i].Sightings > out[j].Sightings
 		}
-		if out[i].Browser+out[i].Host != out[j].Browser+out[j].Host {
-			return out[i].Browser+out[i].Host < out[j].Browser+out[j].Host
+		if out[i].Browser != out[j].Browser {
+			return out[i].Browser < out[j].Browser
+		}
+		if out[i].Host != out[j].Host {
+			return out[i].Host < out[j].Host
 		}
 		return out[i].Param < out[j].Param
 	})
@@ -404,10 +394,6 @@ func (a *Listing1Analyzer) Observe(f *capture.Flow) {
 	if f.Origin != capture.OriginNative {
 		return
 	}
-	a.observe(f)
-}
-
-func (a *Listing1Analyzer) observe(f *capture.Flow) {
 	if f.Browser != "Opera" || f.Host != "s-odx.oleads.com" || f.Method != "POST" {
 		return
 	}
@@ -497,9 +483,117 @@ func (a *TransportAnalyzer) Rows() []TransportRow {
 // Finalize implements pipeline.Analyzer.
 func (a *TransportAnalyzer) Finalize() any { return a.Rows() }
 
-// Suite bundles the full set of streaming analyzers a campaign world
-// registers on its commit tap: every figure, table and leak analysis
-// the batch layer offers, computed incrementally in a single pass.
+// Fig5Analyzer bins native requests by virtual time per browser into
+// the Figure 5 phone-home timeline. The idle experiment registers one
+// for its window and the population engine one for its whole run. Its
+// state is bounded by browsers × bins + distinct destination domains —
+// independent of the flow count, which is what lets a million-user
+// population keep it on the commit tap under -retain=none.
+type Fig5Analyzer struct {
+	browsers []string
+	start    time.Time
+	binSecs  int
+	nBins    int
+
+	mu    sync.Mutex
+	bins  map[string][]int          // browser -> per-bin native request count
+	dests map[string]map[string]int // browser -> registrable domain -> count
+	total map[string]int
+}
+
+// NewFig5Analyzer builds a timeline over the window [start,
+// start+duration) in binSeconds bins (0 means 10 s). Flows before start
+// are skipped; flows after the window count in its last bin.
+func NewFig5Analyzer(browsers []string, start time.Time, duration time.Duration, binSeconds int) *Fig5Analyzer {
+	if binSeconds <= 0 {
+		binSeconds = 10
+	}
+	n := int(duration.Seconds()) / binSeconds
+	if n <= 0 {
+		n = 1
+	}
+	return &Fig5Analyzer{
+		browsers: append([]string(nil), browsers...),
+		start:    start, binSecs: binSeconds, nBins: n,
+		bins:  map[string][]int{},
+		dests: map[string]map[string]int{},
+		total: map[string]int{},
+	}
+}
+
+// Observe folds one committed native flow into its time bin.
+func (c *Fig5Analyzer) Observe(f *capture.Flow) {
+	if f.Origin != capture.OriginNative {
+		return
+	}
+	off := int(f.Time.Sub(c.start).Seconds()) / c.binSecs
+	if off < 0 {
+		return
+	}
+	if off >= c.nBins {
+		off = c.nBins - 1
+	}
+	dom := hostlist.RegistrableDomain(f.Host)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	b := f.Browser
+	if c.bins[b] == nil {
+		c.bins[b] = make([]int, c.nBins)
+	}
+	c.bins[b][off]++
+	if c.dests[b] == nil {
+		c.dests[b] = map[string]int{}
+	}
+	c.dests[b][dom]++
+	c.total[b]++
+}
+
+// Reset drops all bins.
+func (c *Fig5Analyzer) Reset() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.bins = map[string][]int{}
+	c.dests = map[string]map[string]int{}
+	c.total = map[string]int{}
+}
+
+// Series assembles the per-browser cumulative timelines in browser-list
+// order.
+func (c *Fig5Analyzer) Series() []Fig5Series {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]Fig5Series, 0, len(c.browsers))
+	for _, b := range c.browsers {
+		s := Fig5Series{
+			Browser: b, BinSeconds: c.binSecs,
+			Cumulative: make([]int, c.nBins),
+			DestShares: map[string]float64{},
+			Total:      c.total[b],
+		}
+		running := 0
+		for i := 0; i < c.nBins; i++ {
+			if bins := c.bins[b]; bins != nil {
+				running += bins[i]
+			}
+			s.Cumulative[i] = running
+		}
+		for d, n := range c.dests[b] {
+			if s.Total > 0 {
+				s.DestShares[d] = 100 * float64(n) / float64(s.Total)
+			}
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// Finalize implements pipeline.Analyzer.
+func (c *Fig5Analyzer) Finalize() any { return c.Series() }
+
+// Suite bundles the analyzers a campaign world registers on its commit
+// tap: every crawl figure, table and leak analysis, computed
+// incrementally in a single pass. Offline analysis of stored databases
+// drives a fresh Suite with Replay.
 type Suite struct {
 	names []string
 
@@ -539,16 +633,47 @@ func NewSuite(list *hostlist.List, browsers []string) *Suite {
 // Names returns the browser list the suite reports on, in fleet order.
 func (s *Suite) Names() []string { return append([]string(nil), s.names...) }
 
+// namedAnalyzer is one suite analyzer under its registration name.
+type namedAnalyzer struct {
+	name string
+	a    pipeline.Analyzer
+}
+
+// analyzers lists the suite's analyzers in registration order.
+func (s *Suite) analyzers() []namedAnalyzer {
+	return []namedAnalyzer{
+		{"fig2", s.Fig2},
+		{"fig3", s.Fig3},
+		{"fig4", s.Fig4},
+		{"table2", s.PII},
+		{"leaks-native", s.LeakNative},
+		{"leaks-engine", s.LeakEngine},
+		{"dns", s.DNS},
+		{"trackable", s.Trackable},
+		{"listing1", s.Listing1},
+		{"transport", s.Transport},
+	}
+}
+
 // Register wires every analyzer onto the pipeline in a fixed order.
 func (s *Suite) Register(p *pipeline.Pipeline) {
-	p.Register("fig2", s.Fig2)
-	p.Register("fig3", s.Fig3)
-	p.Register("fig4", s.Fig4)
-	p.Register("table2", s.PII)
-	p.Register("leaks-native", s.LeakNative)
-	p.Register("leaks-engine", s.LeakEngine)
-	p.Register("dns", s.DNS)
-	p.Register("trackable", s.Trackable)
-	p.Register("listing1", s.Listing1)
-	p.Register("transport", s.Transport)
+	for _, e := range s.analyzers() {
+		p.Register(e.name, e.a)
+	}
+}
+
+// Replay feeds a stored database to every analyzer, the Engine flows
+// then the Native flows, each store in insertion order. It calls the
+// analyzers directly rather than through a Pipeline, so an offline
+// replay leaves the pipeline metrics alone. Replaying the stores a live
+// campaign retained reproduces its suite byte for byte.
+func (s *Suite) Replay(db *capture.DB) {
+	as := s.analyzers()
+	for _, st := range []*capture.Store{db.Engine, db.Native} {
+		for _, f := range st.All() {
+			for _, e := range as {
+				e.a.Observe(f)
+			}
+		}
+	}
 }

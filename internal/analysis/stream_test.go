@@ -1,0 +1,100 @@
+package analysis_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+
+	"panoptes/internal/analysis"
+	"panoptes/internal/capture"
+	"panoptes/internal/hostlist"
+	"panoptes/internal/obs"
+	"panoptes/internal/pipeline"
+)
+
+// TestTrackableTieBreakComparesFields pins the last tie-break of
+// TrackableAnalyzer.IDs: Browser, then Host, then Param. Compared as one
+// concatenated string, ("ab", "c.example") and ("a", "bc.example") are
+// equal and their order would follow map iteration.
+func TestTrackableTieBreakComparesFields(t *testing.T) {
+	a := analysis.NewTrackableAnalyzer()
+	for _, f := range []*capture.Flow{
+		{Browser: "ab", Host: "c.example", RawQuery: "uuid=3929d87cfa02a9437044a54d3c0e7e6d"},
+		{Browser: "a", Host: "bc.example", RawQuery: "uuid=a1b2c3d4e5f60718293a4b5c6d7e8f90"},
+	} {
+		f.Origin = capture.OriginNative
+		a.Observe(f)
+	}
+	for i := 0; i < 50; i++ {
+		ids := a.IDs()
+		if len(ids) != 2 {
+			t.Fatalf("ids = %+v", ids)
+		}
+		if ids[0].Browser != "a" || ids[1].Browser != "ab" {
+			t.Fatalf("call %d: order %s/%s, %s/%s; want a first", i,
+				ids[0].Browser, ids[0].Host, ids[1].Browser, ids[1].Host)
+		}
+	}
+}
+
+// TestTrackableValuesAndSightings folds a rotated identifier: values
+// keep first-seen order per browser, host and parameter, every flow
+// carrying a known value is a sighting, and short or non-hex values are
+// not identifiers.
+func TestTrackableValuesAndSightings(t *testing.T) {
+	id1 := "a1b2c3d4e5f60718293a4b5c6d7e8f90a1b2c3d4e5f60718293a4b5c6d7e8f90"
+	id2 := "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"
+	a := analysis.NewTrackableAnalyzer()
+	for _, q := range []string{"uuid=" + id1, "uuid=" + id1, "uuid=" + id2, "uuid=short&clientid=not-hex-at-all!!"} {
+		a.Observe(&capture.Flow{Browser: "Yandex", Host: "api.browser.yandex.ru", Origin: capture.OriginNative,
+			RawQuery: "host=x.example&" + q})
+	}
+	ids := a.IDs()
+	if len(ids) != 1 {
+		t.Fatalf("ids = %+v", ids)
+	}
+	if got := ids[0]; got.Param != "uuid" || len(got.Values) != 2 || got.Values[0] != id1 || got.Values[1] != id2 || got.Sightings != 3 {
+		t.Fatalf("id = %+v, want uuid with [id1 id2] over 3 sightings", got)
+	}
+}
+
+// TestSuiteReplayMatchesLive feeds one flow mix to a suite on a live
+// pipeline and replays the same stores through a fresh suite: every
+// analysis must match byte for byte, and the replay must not count
+// towards the pipeline's observed-flow metric.
+func TestSuiteReplayMatchesLive(t *testing.T) {
+	const browser = "SynthBrowser"
+	_, p := transportSuite(browser)
+	db := capture.NewDB()
+	db.SetTap(p)
+	for _, f := range benchFlows(t, browser) {
+		f.ID = capture.NextFlowID()
+		f.VisitURL = "https://news.example/"
+		db.StoreFor(f.Origin).Add(f)
+	}
+
+	observed := obs.Default.Counter("pipeline_observed_total", "analyzer", "fig2")
+	before := observed.Value()
+	re := analysis.NewSuite(hostlist.New(), []string{browser})
+	re.Replay(db)
+	if got := observed.Value(); got != before {
+		t.Errorf("replay bumped pipeline_observed_total{fig2} by %d", got-before)
+	}
+
+	lj, err := json.Marshal(p.Results())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := pipeline.New() // registered only to finalize by name
+	re.Register(rp)
+	rj, err := json.Marshal(rp.Results())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(lj, rj) {
+		t.Errorf("replay diverges from live:\nlive   %s\nreplay %s", lj, rj)
+	}
+	if rows := re.Fig2.Rows(); rows[0].Engine != 2 || rows[0].Native != 5 {
+		t.Errorf("replayed fig2 = %+v, want 2 engine and 5 native flows", rows)
+	}
+}

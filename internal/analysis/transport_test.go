@@ -134,7 +134,8 @@ func TestDoHResolverQueriesAreNotHistoryLeaks(t *testing.T) {
 // against the fleet's profiled behaviours after a full crawl: every
 // browser speaks h1; the h2-capable vendors produce frame-level flows;
 // Dolphin's telemetry rides WebSocket frames; DoH browsers produce
-// RFC 8484 flows; and the batch replay agrees with the streaming rows.
+// RFC 8484 flows; and a replay of the stores agrees with the streaming
+// rows.
 func TestTransportCoverageFromStudy(t *testing.T) {
 	w, names := study(t)
 	rows := w.Suite.Transport.Rows()
@@ -166,13 +167,15 @@ func TestTransportCoverageFromStudy(t *testing.T) {
 		t.Error("DoH browsers captured no doh-transport flows")
 	}
 
-	batch := analysis.TransportCoverage(w.DB, names)
-	if len(batch) != len(rows) {
-		t.Fatalf("batch rows = %d, streaming rows = %d", len(batch), len(rows))
+	re := analysis.NewSuite(w.Hostlist, names)
+	re.Replay(w.DB)
+	replayed := re.Transport.Rows()
+	if len(replayed) != len(rows) {
+		t.Fatalf("replayed rows = %d, streaming rows = %d", len(replayed), len(rows))
 	}
 	for i := range rows {
-		if batch[i] != rows[i] {
-			t.Errorf("row %d: batch %+v != streaming %+v", i, batch[i], rows[i])
+		if replayed[i] != rows[i] {
+			t.Errorf("row %d: replayed %+v != streaming %+v", i, replayed[i], rows[i])
 		}
 	}
 }

@@ -129,7 +129,7 @@ func (b *Blocker) Veto(f *capture.Flow, req *http.Request) error {
 }
 
 // leaksVisit checks whether the flow carries the current visit's URL or
-// host, reusing the leak detector on a single-flow store.
+// host, running the leak scanner over the single flow.
 func (b *Blocker) leaksVisit(f *capture.Flow) (string, bool) {
 	vu, err := url.Parse(f.VisitURL)
 	if err != nil {
@@ -138,9 +138,9 @@ func (b *Blocker) leaksVisit(f *capture.Flow) (string, bool) {
 	if f.Host == vu.Hostname() {
 		return "", false
 	}
-	probe := capture.NewStore()
-	probe.Add(f)
-	findings := leak.NewDetector().Scan(probe)
+	probe := leak.NewStreamScanner(leak.NewDetector(), f.Origin)
+	probe.Observe(f)
+	findings := probe.Findings()
 	if len(findings) == 0 {
 		return "", false
 	}

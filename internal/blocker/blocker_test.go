@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"panoptes/internal/analysis"
 	"panoptes/internal/blocker"
 	"panoptes/internal/capture"
 	"panoptes/internal/core"
@@ -35,7 +34,7 @@ func TestBlocksYandexHistoryLeaks(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With the blocker active, no history leak reaches the vendor.
-	findings := analysis.HistoryLeaks(w.DB.Native)
+	findings := w.Suite.LeakNative.Findings()
 	reached := 0
 	for _, f := range findings {
 		// Flows are recorded by the splitter before the veto; blocked

@@ -287,28 +287,25 @@ func TestIdleExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(opera.Flows) == 0 || len(brave.Flows) == 0 {
-		t.Fatalf("opera=%d brave=%d idle flows", len(opera.Flows), len(brave.Flows))
+	if opera.Series.Total == 0 || brave.Series.Total == 0 {
+		t.Fatalf("opera=%d brave=%d idle requests", opera.Series.Total, brave.Series.Total)
 	}
 	// Opera (news feed, ads) phones home much more than Brave.
-	if len(opera.Flows) <= 2*len(brave.Flows) {
-		t.Fatalf("opera %d vs brave %d: expected opera >> brave", len(opera.Flows), len(brave.Flows))
+	if opera.Series.Total <= 2*brave.Series.Total {
+		t.Fatalf("opera %d vs brave %d: expected opera >> brave", opera.Series.Total, brave.Series.Total)
 	}
-	// Idle flows carry no visit annotation.
-	for _, f := range opera.Flows {
+	if n := len(opera.Series.Cumulative); n != 60 || opera.Series.Cumulative[n-1] != opera.Series.Total {
+		t.Fatalf("opera timeline: %d bins ending at %v, want 60 ending at %d", n, opera.Series.Cumulative, opera.Series.Total)
+	}
+	// Idle flows carry no visit annotation (nothing was crawled).
+	for _, f := range w.DB.Native.All() {
 		if f.VisitURL != "" {
 			t.Fatalf("idle flow has visit %q", f.VisitURL)
 		}
 	}
 	// Opera's idle mix includes doubleclick.net (Fig. 5: 21.9%).
-	dc := 0
-	for _, f := range opera.Flows {
-		if strings.HasSuffix(f.Host, "doubleclick.net") {
-			dc++
-		}
-	}
-	if dc == 0 {
-		t.Fatal("no idle doubleclick traffic from Opera")
+	if opera.Series.DestShares["doubleclick.net"] == 0 {
+		t.Fatalf("no idle doubleclick traffic from Opera: %v", opera.Series.DestShares)
 	}
 }
 
@@ -499,8 +496,8 @@ func TestRunIdleAll(t *testing.T) {
 		t.Fatalf("results = %d", len(out))
 	}
 	for name, r := range out {
-		if len(r.Flows) == 0 {
-			t.Errorf("%s: no idle flows", name)
+		if r.Series.Browser != name || r.Series.Total == 0 {
+			t.Errorf("%s: no idle requests in %+v", name, r.Series)
 		}
 		if r.End.Sub(r.Start) != 2*time.Minute {
 			t.Errorf("%s: window %v", name, r.End.Sub(r.Start))

@@ -115,15 +115,8 @@ func runDataPlaneCampaign(t *testing.T, parallelism int, cold, faulty, viaCheckp
 
 	assertStreamingMatchesBatch(t, w)
 
-	var browsers []string
-	for _, v := range res.Visits {
-		if len(browsers) == 0 || browsers[len(browsers)-1] != v.Browser {
-			browsers = append(browsers, v.Browser)
-		}
-	}
-	fig2 := analysis.Fig2(w.DB, browsers)
-	matrix, _ := analysis.Table2(w.DB.Native, browsers)
-	leaks := analysis.HistoryLeaks(w.DB.Native)
+	rs := replaySuite(w)
+	fig2, matrix, leaks := rs.Fig2.Rows(), rs.PII.Matrix(), rs.LeakNative.Findings()
 	for i := range leaks {
 		leaks[i].FlowID = 0 // process-global ticket numbers, not data
 	}

@@ -108,59 +108,66 @@ func runFaultCampaign(t *testing.T, parallelism int, faulty, viaCheckpoint bool)
 	}
 	assertStreamingMatchesBatch(t, w)
 
-	var browsers []string
-	for _, v := range res.Visits {
-		if len(browsers) == 0 || browsers[len(browsers)-1] != v.Browser {
-			browsers = append(browsers, v.Browser)
-		}
-	}
-	fig2 := analysis.Fig2(w.DB, browsers)
-	matrix, _ := analysis.Table2(w.DB.Native, browsers)
-	leaks := analysis.HistoryLeaks(w.DB.Native)
+	rs := replaySuite(w)
+	leaks := rs.LeakNative.Findings()
 	for i := range leaks {
 		leaks[i].FlowID = 0 // process-global ticket numbers, not data
 	}
-	return fig2, matrix, leaks, res
+	return rs.Fig2.Rows(), rs.PII.Matrix(), leaks, res
 }
 
-// assertStreamingMatchesBatch is the tentpole's golden equivalence
-// check: every analysis the streaming suite computed incrementally on
-// the commit tap (retractions and all) must JSON-serialize to the same
-// bytes as its batch wrapper replaying the retained flow databases
-// after the fact. Called from runFaultCampaign, it covers the clean
-// run and every straight/resume × parallelism variant.
+// replaySuite builds a fresh analysis suite over w's fleet and replays
+// w's retained flow databases through it.
+func replaySuite(w *World) *analysis.Suite {
+	s := analysis.NewSuite(w.Hostlist, w.Suite.Names())
+	s.Replay(w.DB)
+	return s
+}
+
+// namedResult is one analysis output under its name.
+type namedResult struct {
+	name string
+	v    any
+}
+
+// suiteResults lists every analysis a suite holds, all ten analyzers
+// plus the Table 2 findings, in a fixed order.
+func suiteResults(s *analysis.Suite) []namedResult {
+	return []namedResult{
+		{"fig2", s.Fig2.Finalize()},
+		{"fig3", s.Fig3.Finalize()},
+		{"fig4", s.Fig4.Finalize()},
+		{"table2-matrix", s.PII.Finalize()},
+		{"table2-findings", s.PII.Findings()},
+		{"leaks-native", s.LeakNative.Finalize()},
+		{"leaks-engine", s.LeakEngine.Finalize()},
+		{"dns", s.DNS.Finalize()},
+		{"trackable", s.Trackable.Finalize()},
+		{"listing1", s.Listing1.Finalize()},
+		{"transport", s.Transport.Finalize()},
+	}
+}
+
+// assertStreamingMatchesBatch is the live-vs-replay golden check: every
+// analysis the world's suite folded in on the commit tap (quarantined
+// attempts and all) must JSON-serialize to the same bytes as a fresh
+// suite after Suite.Replay of the retained flow databases. Called from
+// runFaultCampaign and runDataPlaneCampaign, it covers the clean run
+// and every straight/resume × parallelism variant.
 func assertStreamingMatchesBatch(t *testing.T, w *World) {
 	t.Helper()
-	names := w.Suite.Names()
-	batchMatrix, batchPII := analysis.Table2(w.DB.Native, names)
-	sBody, sQuery := w.Suite.Listing1.Result()
-	bBody, bQuery := analysis.Listing1(w.DB.Native)
-	pairs := []struct {
-		name          string
-		stream, batch any
-	}{
-		{"fig2", w.Suite.Fig2.Rows(), analysis.Fig2(w.DB, names)},
-		{"fig3", w.Suite.Fig3.Rows(), analysis.Fig3(w.DB.Native, w.Hostlist, names)},
-		{"fig4", w.Suite.Fig4.Rows(), analysis.Fig4(w.DB, names)},
-		{"table2-matrix", w.Suite.PII.Matrix(), batchMatrix},
-		{"table2-findings", w.Suite.PII.Findings(), batchPII},
-		{"leaks-native", w.Suite.LeakNative.Findings(), analysis.HistoryLeaks(w.DB.Native)},
-		{"leaks-engine", w.Suite.LeakEngine.Findings(), analysis.HistoryLeaks(w.DB.Engine)},
-		{"dns", w.Suite.DNS.Usage(), analysis.DNSUsage(w.DB.Native, names)},
-		{"trackable", w.Suite.Trackable.IDs(), analysis.TrackableIdentifiers(w.DB.Native)},
-		{"listing1", [2]string{sBody, sQuery}, [2]string{bBody, bQuery}},
-	}
-	for _, p := range pairs {
-		sj, err := json.Marshal(p.stream)
+	live, replay := suiteResults(w.Suite), suiteResults(replaySuite(w))
+	for i, l := range live {
+		lj, err := json.Marshal(l.v)
 		if err != nil {
-			t.Fatalf("%s: marshal streaming result: %v", p.name, err)
+			t.Fatalf("%s: marshal live result: %v", l.name, err)
 		}
-		bj, err := json.Marshal(p.batch)
+		rj, err := json.Marshal(replay[i].v)
 		if err != nil {
-			t.Fatalf("%s: marshal batch result: %v", p.name, err)
+			t.Fatalf("%s: marshal replayed result: %v", l.name, err)
 		}
-		if !bytes.Equal(sj, bj) {
-			t.Errorf("streaming %s diverges from batch replay:\nstream %s\nbatch  %s", p.name, sj, bj)
+		if !bytes.Equal(lj, rj) {
+			t.Errorf("live %s diverges from replay:\nlive   %s\nreplay %s", l.name, lj, rj)
 		}
 	}
 }

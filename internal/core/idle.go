@@ -2,66 +2,27 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
-	"panoptes/internal/capture"
+	"panoptes/internal/analysis"
 )
-
-// idleCollector is a transient pipeline analyzer that gathers one
-// browser's native flows during the idle window. Collecting off the
-// commit tap instead of filtering the store afterwards keeps the idle
-// experiment working when flow retention is off.
-type idleCollector struct {
-	uid int
-
-	mu    sync.Mutex
-	flows []*capture.Flow
-}
-
-func (c *idleCollector) Observe(f *capture.Flow) {
-	if f.Origin != capture.OriginNative || f.BrowserUID != c.uid {
-		return
-	}
-	f.Ref() // the collector outlives the exchange that produced the flow
-	c.mu.Lock()
-	c.flows = append(c.flows, f)
-	c.mu.Unlock()
-}
-
-func (c *idleCollector) Finalize() any { return c.window(time.Time{}, time.Time{}) }
-
-// window returns the collected flows inside [start, end]; zero bounds
-// mean unbounded.
-func (c *idleCollector) window(start, end time.Time) []*capture.Flow {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []*capture.Flow
-	for _, f := range c.flows {
-		if !start.IsZero() && f.Time.Before(start) {
-			continue
-		}
-		if !end.IsZero() && f.Time.After(end) {
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
-}
 
 // IdleResult is one browser's idle phone-home record (§3.5 / Figure 5).
 type IdleResult struct {
 	Browser string
 	Start   time.Time
 	End     time.Time
-	// Flows are the native flows captured during the idle window, in
-	// order; Figure 5 bins their timestamps.
-	Flows []*capture.Flow
+	// Series is the window's Figure 5 timeline: the browser's native
+	// requests in idleBinSeconds bins.
+	Series analysis.Fig5Series
 }
+
+// idleBinSeconds is Figure 5's bin width.
+const idleBinSeconds = 10
 
 // RunIdle reproduces §3.5: launch the browser, leave it at the start
 // page with no interaction for the given duration of virtual time while
-// its traffic is diverted, and collect the native requests it makes.
+// its traffic is diverted, and bin the native requests it makes.
 func (w *World) RunIdle(browserName string, duration time.Duration) (*IdleResult, error) {
 	b, err := w.Browser(browserName)
 	if err != nil {
@@ -81,13 +42,14 @@ func (w *World) RunIdle(browserName string, duration time.Duration) (*IdleResult
 			return nil, err
 		}
 	}
-	// Collect off the commit tap (registered before Launch: the launch
-	// and wizard flows are stamped at the window's start instant and
-	// belong to the idle record).
-	col := &idleCollector{uid: b.UID()}
-	colName := "idle:" + browserName
-	w.Pipeline.Register(colName, col)
-	defer w.Pipeline.Unregister(colName)
+	// Bin off the commit tap, which keeps the experiment working when
+	// flow retention is off. The analyzer is registered before Launch:
+	// the launch and wizard flows are stamped at the window's start
+	// instant and belong to the idle record.
+	curve := analysis.NewFig5Analyzer([]string{browserName}, w.Clock.Now(), duration, idleBinSeconds)
+	curveName := "idle:" + browserName
+	w.Pipeline.Register(curveName, curve)
+	defer w.Pipeline.Unregister(curveName)
 	if err := sess.Launch(); err != nil {
 		return nil, fmt.Errorf("core: idle launch: %w", err)
 	}
@@ -123,7 +85,7 @@ func (w *World) RunIdle(browserName string, duration time.Duration) (*IdleResult
 
 	w.Trace.SetActive(uid, nil)
 	idleSpan.End()
-	return &IdleResult{Browser: browserName, Start: start, End: end, Flows: col.window(start, end)}, nil
+	return &IdleResult{Browser: browserName, Start: start, End: end, Series: curve.Series()[0]}, nil
 }
 
 // RunIdleAll runs the idle experiment for every browser in the world.

@@ -21,26 +21,18 @@ func campaignAnalyses(t *testing.T, parallelism int) ([]analysis.Fig2Row, pii.Ma
 		t.Fatal(err)
 	}
 
-	var browsers []string
-	for _, v := range res.Visits {
-		if len(browsers) == 0 || browsers[len(browsers)-1] != v.Browser {
-			browsers = append(browsers, v.Browser)
-		}
-	}
-
-	fig2 := analysis.Fig2(w.DB, browsers)
-
-	matrix, _ := analysis.Table2(w.DB.Native, browsers)
+	rs := replaySuite(w)
 
 	// Flow IDs are allocated from a process-global counter as requests
 	// race through the engine's concurrent subresource fetcher, so their
 	// values are scheduling accidents even in a sequential crawl. Zero
 	// them: the determinism contract is about what leaked where, not
 	// which ticket number the flow drew.
-	leaks := analysis.HistoryLeaks(w.DB.Native)
+	leaks := rs.LeakNative.Findings()
 	for i := range leaks {
 		leaks[i].FlowID = 0
 	}
+	fig2, matrix := rs.Fig2.Rows(), rs.PII.Matrix()
 	return fig2, matrix, leaks, res.Visits
 }
 

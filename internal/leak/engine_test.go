@@ -151,7 +151,7 @@ func TestEngineMatchesNaiveReference(t *testing.T) {
 			flows := leakFlows(60, rng)
 			det := &Detector{Encodings: tc.encs}
 			ref := &Detector{Encodings: tc.encs}
-			s := NewStreamScanner(det, "")
+			s := NewStreamScanner(det, capture.OriginNative)
 			for _, f := range flows {
 				got, gotOK := s.scanOne(f)
 				want, wantOK := naiveScanOne(ref, f)
@@ -164,21 +164,17 @@ func TestEngineMatchesNaiveReference(t *testing.T) {
 	}
 }
 
-// TestBatchScanMatchesNaive drives the batch entry point over a store
-// and compares the full sorted finding set against the naive reference.
+// TestBatchScanMatchesNaive drives a scanner's Observe over a batch of
+// flows and compares its full sorted finding set against the naive
+// reference.
 func TestBatchScanMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	flows := leakFlows(40, rng)
-	store := capture.NewStore()
-	for _, f := range flows {
-		store.Add(f)
-	}
-	det := NewDetector()
-	got := det.Scan(store)
+	got := scan(NewDetector(), flows...)
 
 	ref := NewDetector()
 	var want []Finding
-	for _, f := range store.All() {
+	for _, f := range flows {
 		if fnd, ok := naiveScanOne(ref, f); ok {
 			want = append(want, fnd)
 		}
@@ -214,7 +210,7 @@ func BenchmarkLeakScanScaling(b *testing.B) {
 					det.visitFor(f.VisitURL)
 				}
 			}
-			s := NewStreamScanner(det, "")
+			s := NewStreamScanner(det, capture.OriginNative)
 			s.scanOne(flows[0]) // compile outside the timed region
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -9,38 +9,38 @@ import (
 	"panoptes/internal/capture"
 )
 
-// leakyFleet files the same mixed flow population into a store in the
-// given order; half the flows leak the visit URL plainly, a quarter leak
-// only the domain, the rest are clean.
-func leakyFleet(order []int) *capture.Store {
-	s := capture.NewStore()
+// leakyFleet builds the same mixed flow population in the given order;
+// half the flows leak the visit URL plainly, a quarter leak only the
+// domain, the rest are clean.
+func leakyFleet(order []int) []*capture.Flow {
+	var flows []*capture.Flow
 	for _, i := range order {
 		browser := fmt.Sprintf("Browser-%d", i%5)
 		switch i % 4 {
 		case 0, 1:
-			s.Add(&capture.Flow{
+			flows = append(flows, &capture.Flow{
 				ID: int64(i + 1), Browser: browser, Host: "collector.example",
 				Scheme: "https", Path: "/r", RawQuery: "u=" + visit, VisitURL: visit,
 			})
 		case 2:
-			s.Add(&capture.Flow{
+			flows = append(flows, &capture.Flow{
 				ID: int64(i + 1), Browser: browser, Host: "beacon.example",
 				Scheme: "https", Path: "/b", Body: []byte(`{"d":"mentalhealth-support.org"}`),
 				VisitURL: visit,
 			})
 		default:
-			s.Add(&capture.Flow{
+			flows = append(flows, &capture.Flow{
 				ID: int64(i + 1), Browser: browser, Host: "cdn.example",
 				Scheme: "https", Path: "/asset.js", VisitURL: visit,
 			})
 		}
 	}
-	return s
+	return flows
 }
 
-// TestScanShardFanOutEquivalence checks Scan is a pure function of the
-// flow multiset: insertion order must not change a single byte of the
-// output.
+// TestScanShardFanOutEquivalence checks a scanner's findings are a pure
+// function of the flow multiset: arrival order must not change a single
+// byte of the output.
 func TestScanShardFanOutEquivalence(t *testing.T) {
 	const n = 256
 	forward := make([]int, n)
@@ -53,7 +53,7 @@ func TestScanShardFanOutEquivalence(t *testing.T) {
 	}
 
 	d := NewDetector()
-	ref := d.Scan(leakyFleet(forward))
+	ref := scan(d, leakyFleet(forward)...)
 	if len(ref) != n/2+n/4 {
 		t.Fatalf("reference scan found %d leaks, want %d", len(ref), n/2+n/4)
 	}
@@ -74,14 +74,14 @@ func TestScanShardFanOutEquivalence(t *testing.T) {
 	}
 
 	for name, order := range map[string][]int{"reverse": reverse, "shuffled": shuffled} {
-		if got := d.Scan(leakyFleet(order)); !reflect.DeepEqual(got, ref) {
-			t.Fatalf("%s insertion order changed scan output", name)
+		if got := scan(d, leakyFleet(order)...); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("%s arrival order changed scan output", name)
 		}
 	}
-	// And a rescan of the same store is identical (the scan itself is
+	// And a rescan of the same flows is identical (the scan itself is
 	// deterministic, not just the flow set).
-	s := leakyFleet(forward)
-	if !reflect.DeepEqual(d.Scan(s), d.Scan(s)) {
-		t.Fatal("two scans of one store differ")
+	fs := leakyFleet(forward)
+	if !reflect.DeepEqual(scan(d, fs...), scan(d, fs...)) {
+		t.Fatal("two scans of one flow set differ")
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"encoding/base64"
 	"encoding/hex"
 	"net/url"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -203,11 +202,11 @@ type visitNeedles struct {
 	dom  *needle
 }
 
-// Detector finds history leaks in a native-flow store. Beyond the
-// encoding-set knob it owns the shared match engine: every value ever
-// searched (visit URLs and hostnames under all their encodings) is
-// interned once into a single Aho-Corasick pattern set, so scanning a
-// flow is one automaton pass regardless of how many visits are active.
+// Detector holds what its StreamScanners share: the encoding set and
+// the match engine. Every value ever searched (visit URLs and hostnames
+// under all their encodings) is interned once into a single
+// Aho-Corasick pattern set, so scanning a flow is one automaton pass
+// regardless of how many visits are active.
 type Detector struct {
 	Encodings EncodingSet
 
@@ -286,32 +285,6 @@ func (d *Detector) visitFor(visitURL string) *visitNeedles {
 	}
 	d.mu.Unlock()
 	return v
-}
-
-// Scan inspects every flow that occurred during a visit and reports
-// leaks of that visit's URL or host to any destination other than the
-// visited site itself.
-//
-// Scan is the batch drive mode of the incremental StreamScanner: it
-// replays the store's flows through a fresh scanner and finalizes, so
-// batch and streaming results come from one code path. Findings are
-// returned in a canonical sort order (browser, visit URL, destination,
-// kind, encoding, flow ID), so the output is a pure function of the
-// flow set regardless of insertion order.
-func (d *Detector) Scan(native *capture.Store) []Finding {
-	s := NewStreamScanner(d, "")
-	flows := native.All()
-	// Prime every visit's needles before the first scan so the engine
-	// compiles once for the whole batch instead of once per new visit.
-	for _, f := range flows {
-		if f.VisitURL != "" {
-			d.visitFor(f.VisitURL)
-		}
-	}
-	for _, f := range flows {
-		s.observe(f)
-	}
-	return s.Findings()
 }
 
 // sortFindings puts findings in their canonical order: stable, human-
@@ -396,9 +369,8 @@ type IDHit struct {
 
 // ExtractIDs mines a single flow for candidate persistent identifiers
 // (long hex/uuid-like values): query parameters first (sorted by key
-// for determinism), then JSON body fields in document order. The
-// incremental trackable-ID analyzer and PersistentIDs share this as
-// their per-flow step.
+// for determinism), then JSON body fields in document order. It is the
+// per-flow step of the trackable-ID analyzer.
 func ExtractIDs(f *capture.Flow) []IDHit {
 	var out []IDHit
 	if vals, err := url.ParseQuery(f.RawQuery); err == nil {
@@ -479,26 +451,6 @@ func isIDByte(c byte) bool {
 // isSpace is RE2's \s: [\t\n\f\r ].
 func isSpace(c byte) bool {
 	return c == ' ' || c == '\t' || c == '\n' || c == '\f' || c == '\r'
-}
-
-// PersistentIDs extracts candidate persistent identifiers per browser
-// and host — from query parameters and from JSON request bodies
-// (Opera's operaId travels in a POST body) — for the
-// track-across-sessions analysis. Values keep first-seen order.
-func PersistentIDs(native *capture.Store) map[string]map[string][]string {
-	out := map[string]map[string][]string{}
-	for _, f := range native.All() {
-		for _, hit := range ExtractIDs(f) {
-			if out[f.Browser] == nil {
-				out[f.Browser] = map[string][]string{}
-			}
-			key := f.Host + "?" + hit.Key
-			if !slices.Contains(out[f.Browser][key], hit.Value) {
-				out[f.Browser][key] = append(out[f.Browser][key], hit.Value)
-			}
-		}
-	}
-	return out
 }
 
 func looksLikeIDKey(k string) bool {

@@ -20,106 +20,108 @@ const visit = "https://mentalhealth-support.org/"
 
 func nativeFlow(browser, host, query, body string) *capture.Flow {
 	return &capture.Flow{
-		ID: capture.NextFlowID(), Browser: browser, Host: host,
+		ID: capture.NextFlowID(), Browser: browser, Host: host, Origin: capture.OriginNative,
 		Method: "GET", Scheme: "https", Path: "/report", RawQuery: query,
 		Body: []byte(body), VisitURL: visit,
 	}
 }
 
+// scan feeds flows, stamped native, to a fresh native-origin scanner
+// over d and returns its findings.
+func scan(d *Detector, flows ...*capture.Flow) []Finding {
+	s := NewStreamScanner(d, capture.OriginNative)
+	for _, f := range flows {
+		f.Origin = capture.OriginNative
+		s.Observe(f)
+	}
+	return s.Findings()
+}
+
 func TestDetectPlainFullURL(t *testing.T) {
-	s := capture.NewStore()
-	s.Add(nativeFlow("QQ", "wup.browser.qq.com", "", `{"url":"`+visit+`"}`))
-	fs := NewDetector().Scan(s)
+	fs := scan(NewDetector(), nativeFlow("QQ", "wup.browser.qq.com", "", `{"url":"`+visit+`"}`))
 	if len(fs) != 1 || fs[0].Kind != KindFullURL || fs[0].Encoding != EncPlain {
 		t.Fatalf("findings = %+v", fs)
 	}
 }
 
 func TestDetectBase64FullURL(t *testing.T) {
-	s := capture.NewStore()
 	b64 := base64.StdEncoding.EncodeToString([]byte(visit))
-	s.Add(nativeFlow("Yandex", "sba.yandex.net", "url="+url.QueryEscape(b64), ""))
-	fs := NewDetector().Scan(s)
+	fs := scan(NewDetector(), nativeFlow("Yandex", "sba.yandex.net", "url="+url.QueryEscape(b64), ""))
 	if len(fs) != 1 || fs[0].Kind != KindFullURL || fs[0].Encoding != EncBase64 {
 		t.Fatalf("findings = %+v", fs)
 	}
 }
 
 func TestDetectEscapedFullURL(t *testing.T) {
-	s := capture.NewStore()
-	s.Add(nativeFlow("UC International", "gjapi.ucweb.com", "u="+url.QueryEscape(visit), ""))
-	fs := NewDetector().Scan(s)
+	fs := scan(NewDetector(), nativeFlow("UC International", "gjapi.ucweb.com", "u="+url.QueryEscape(visit), ""))
 	if len(fs) != 1 || fs[0].Kind != KindFullURL {
 		t.Fatalf("findings = %+v", fs)
 	}
 }
 
 func TestDetectDomainOnly(t *testing.T) {
-	s := capture.NewStore()
-	s.Add(nativeFlow("Edge", "api.bing.com", "q=mentalhealth-support.org&mkt=en-GR", ""))
-	fs := NewDetector().Scan(s)
+	fs := scan(NewDetector(), nativeFlow("Edge", "api.bing.com", "q=mentalhealth-support.org&mkt=en-GR", ""))
 	if len(fs) != 1 || fs[0].Kind != KindDomainOnly {
 		t.Fatalf("findings = %+v", fs)
 	}
 }
 
 func TestDetectHashedHost(t *testing.T) {
-	s := capture.NewStore()
 	sum := sha256.Sum256([]byte("mentalhealth-support.org"))
-	s.Add(nativeFlow("Hasher", "telemetry.example", "h="+hex.EncodeToString(sum[:]), ""))
-	fs := NewDetector().Scan(s)
+	fs := scan(NewDetector(), nativeFlow("Hasher", "telemetry.example", "h="+hex.EncodeToString(sum[:]), ""))
 	if len(fs) != 1 || fs[0].Encoding != EncSHA256 {
 		t.Fatalf("findings = %+v", fs)
 	}
 }
 
 func TestNoLeakNoFinding(t *testing.T) {
-	s := capture.NewStore()
-	s.Add(nativeFlow("Brave", "variations.brave.com", "seed=42", `{"ok":true}`))
-	if fs := NewDetector().Scan(s); len(fs) != 0 {
+	if fs := scan(NewDetector(), nativeFlow("Brave", "variations.brave.com", "seed=42", `{"ok":true}`)); len(fs) != 0 {
 		t.Fatalf("findings = %+v", fs)
 	}
 }
 
 func TestVisitedSiteItselfIgnored(t *testing.T) {
-	s := capture.NewStore()
 	// Request TO the visited host trivially "contains" its URL; not a leak.
 	f := nativeFlow("Any", "mentalhealth-support.org", "page="+url.QueryEscape(visit), "")
-	s.Add(f)
-	if fs := NewDetector().Scan(s); len(fs) != 0 {
+	if fs := scan(NewDetector(), f); len(fs) != 0 {
 		t.Fatalf("findings = %+v", fs)
 	}
 }
 
 func TestFlowsOutsideVisitIgnored(t *testing.T) {
-	s := capture.NewStore()
 	f := nativeFlow("Opera", "news.opera-api.com", "u="+url.QueryEscape(visit), "")
 	f.VisitURL = "" // idle flow
-	s.Add(f)
-	if fs := NewDetector().Scan(s); len(fs) != 0 {
+	if fs := scan(NewDetector(), f); len(fs) != 0 {
 		t.Fatalf("idle flow produced findings: %+v", fs)
 	}
 }
 
+func TestScannerIgnoresOtherOrigin(t *testing.T) {
+	f := nativeFlow("QQ", "wup.browser.qq.com", "", `{"url":"`+visit+`"}`)
+	f.Origin = capture.OriginEngine
+	s := NewStreamScanner(NewDetector(), capture.OriginNative)
+	s.Observe(f)
+	if fs := s.Findings(); len(fs) != 0 {
+		t.Fatalf("native scanner reported an engine flow: %+v", fs)
+	}
+}
+
 func TestPlainOnlyMissesBase64(t *testing.T) {
-	s := capture.NewStore()
 	b64 := base64.StdEncoding.EncodeToString([]byte(visit))
-	s.Add(nativeFlow("Yandex", "sba.yandex.net", "url="+b64, ""))
+	f := nativeFlow("Yandex", "sba.yandex.net", "url="+b64, "")
 	d := &Detector{Encodings: PlainOnly()}
-	if fs := d.Scan(s); len(fs) != 0 {
+	if fs := scan(d, f); len(fs) != 0 {
 		t.Fatalf("plain-only detector found %+v", fs)
 	}
-	if fs := NewDetector().Scan(s); len(fs) != 1 {
+	if fs := scan(NewDetector(), f); len(fs) != 1 {
 		t.Fatalf("full detector found %d", len(fs))
 	}
 }
 
 func TestIncognitoPropagates(t *testing.T) {
-	s := capture.NewStore()
 	f := nativeFlow("Edge", "api.bing.com", "q=mentalhealth-support.org", "")
 	f.Incognito = true
-	s.Add(f)
-	fs := NewDetector().Scan(s)
+	fs := scan(NewDetector(), f)
 	if len(fs) != 1 || !fs[0].Incognito {
 		t.Fatalf("findings = %+v", fs)
 	}
@@ -149,28 +151,18 @@ func TestSummarise(t *testing.T) {
 	}
 }
 
+// TestPersistentIDs checks ExtractIDs on query parameters: an
+// identifier-named key with a long hex value is mined, other keys are
+// not, and short or non-hex values are not IDs. (Per-host distinct-value
+// aggregation is the trackable analyzer's job, covered in
+// internal/analysis.)
 func TestPersistentIDs(t *testing.T) {
-	s := capture.NewStore()
-	id1 := "a1b2c3d4e5f60718293a4b5c6d7e8f90a1b2c3d4e5f60718293a4b5c6d7e8f90"
-	id2 := "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"
-	add := func(uuid string) {
-		s.Add(&capture.Flow{
-			ID: capture.NextFlowID(), Browser: "Yandex", Host: "api.browser.yandex.ru",
-			RawQuery: "host=x.example&uuid=" + uuid,
-		})
+	id := "a1b2c3d4e5f60718293a4b5c6d7e8f90a1b2c3d4e5f60718293a4b5c6d7e8f90"
+	got := ExtractIDs(&capture.Flow{Host: "api.browser.yandex.ru", RawQuery: "host=x.example&uuid=" + id})
+	if want := []IDHit{{Key: "uuid", Value: id}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("ExtractIDs = %v, want %v", got, want)
 	}
-	add(id1)
-	add(id1)
-	add(id2) // after a factory reset
-	ids := PersistentIDs(s)
-	vals := ids["Yandex"]["api.browser.yandex.ru?uuid"]
-	if len(vals) != 2 {
-		t.Fatalf("distinct ids = %v", vals)
-	}
-	// Short or non-hex values are not IDs.
-	s2 := capture.NewStore()
-	s2.Add(&capture.Flow{Browser: "X", Host: "h", RawQuery: "uuid=short&clientid=not-hex-at-all!!"})
-	if got := PersistentIDs(s2); len(got) != 0 {
+	if got := ExtractIDs(&capture.Flow{Host: "h", RawQuery: "uuid=short&clientid=not-hex-at-all!!"}); len(got) != 0 {
 		t.Fatalf("bad ids accepted: %v", got)
 	}
 }
@@ -186,32 +178,26 @@ func TestEncodingSets(t *testing.T) {
 }
 
 func BenchmarkScanStore(b *testing.B) {
-	s := capture.NewStore()
+	var flows []*capture.Flow
 	for i := 0; i < 200; i++ {
-		s.Add(nativeFlow("Yandex", "sba.yandex.net",
+		flows = append(flows, nativeFlow("Yandex", "sba.yandex.net",
 			"url="+base64.StdEncoding.EncodeToString([]byte(visit)), ""))
 	}
 	d := NewDetector()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Scan(s)
+		scan(d, flows...)
 	}
 }
 
 func TestPersistentIDsInJSONBody(t *testing.T) {
-	s := capture.NewStore()
 	id := "3929d87cfa02a9437044a54d3c0e7e6d0d088c6a96b7429e91c093eb5efb4fa2"
-	for i := 0; i < 3; i++ {
-		s.Add(&capture.Flow{
-			ID: capture.NextFlowID(), Browser: "Opera", Host: "s-odx.oleads.com",
-			Method: "POST",
-			Body:   []byte(`{"channelId":"adx","operaId":"` + id + `","adCount":2}`),
-		})
-	}
-	ids := PersistentIDs(s)
-	vals := ids["Opera"]["s-odx.oleads.com?operaId"]
-	if len(vals) != 1 || vals[0] != id {
-		t.Fatalf("operaId not mined from body: %v", ids)
+	got := ExtractIDs(&capture.Flow{
+		Browser: "Opera", Host: "s-odx.oleads.com", Method: "POST",
+		Body: []byte(`{"channelId":"adx","operaId":"` + id + `","adCount":2}`),
+	})
+	if want := []IDHit{{Key: "operaId", Value: id}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("operaId not mined from body: %v", got)
 	}
 }
 
@@ -297,13 +283,11 @@ func TestPropertyEncodingsAllDetected(t *testing.T) {
 			},
 		}
 		for enc, fn := range encode {
-			s := capture.NewStore()
 			flow := &capture.Flow{
 				ID: capture.NextFlowID(), Browser: "P", Host: "collector.example",
 				Body: []byte(`{"v":"` + fn(target) + `"}`), VisitURL: target,
 			}
-			s.Add(flow)
-			fs := NewDetector().Scan(s)
+			fs := scan(NewDetector(), flow)
 			if len(fs) != 1 || fs[0].Kind != KindFullURL {
 				return false
 			}
@@ -320,13 +304,11 @@ func TestPropertyEncodingsAllDetected(t *testing.T) {
 // for the visit.
 func TestPropertyNoFalsePositives(t *testing.T) {
 	f := func(n uint16) bool {
-		s := capture.NewStore()
 		other := fmt.Sprintf("https://unrelated-%d.example/", n)
-		s.Add(&capture.Flow{
+		return len(scan(NewDetector(), &capture.Flow{
 			ID: capture.NextFlowID(), Browser: "P", Host: "collector.example",
 			RawQuery: "u=" + url.QueryEscape(other), VisitURL: visit,
-		})
-		return len(NewDetector().Scan(s)) == 0
+		})) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

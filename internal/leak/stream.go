@@ -6,38 +6,32 @@ import (
 	"panoptes/internal/capture"
 )
 
-// StreamScanner is the incremental form of the history-leak scan: each
-// committed flow is searched as it arrives and the finding (at most
-// one per flow) folded into the running set. The search itself is a
+// StreamScanner is the history-leak scan: each committed flow is
+// searched as it arrives and the finding (at most one per flow) folded
+// into the running set. The search itself is a
 // single pass of the detector's shared Aho-Corasick engine over the
 // flow haystack — every active visit's representations are interned
 // into one automaton, so per-flow cost no longer grows with the number
 // of concurrent visits. Implements pipeline.Analyzer (plus Reset).
 type StreamScanner struct {
 	det    *Detector
-	origin capture.Origin // filter for tap-driven use; "" scans every flow
+	origin capture.Origin // the only origin scanned
 
 	mu       sync.Mutex
 	findings []Finding // arrival order
 }
 
-// NewStreamScanner builds a scanner over d's encoding set. A non-empty
-// origin restricts tap-driven Observe calls to flows of that origin
-// (batch replay via Detector.Scan always scans every flow).
+// NewStreamScanner builds a scanner over d's encoding set that scans
+// the committed flows of one origin and ignores the rest.
 func NewStreamScanner(d *Detector, origin capture.Origin) *StreamScanner {
 	return &StreamScanner{det: d, origin: origin}
 }
 
-// Observe scans one committed flow from the tap stream.
+// Observe scans one committed flow of the scanner's origin.
 func (s *StreamScanner) Observe(f *capture.Flow) {
-	if s.origin != "" && f.Origin != s.origin {
+	if f.Origin != s.origin {
 		return
 	}
-	s.observe(f)
-}
-
-// observe is the origin-agnostic per-flow step shared with batch replay.
-func (s *StreamScanner) observe(f *capture.Flow) {
 	fnd, ok := s.scanOne(f)
 	if !ok {
 		return

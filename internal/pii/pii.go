@@ -307,18 +307,6 @@ func printable(b []byte) bool {
 // Matrix is Table 2: browser → attribute → leaked.
 type Matrix map[string]map[Attribute]bool
 
-// BuildMatrix scans a native-flow store and assembles the leak matrix
-// for the given browser names (rows appear even when nothing leaked).
-// It is the batch drive mode of MatrixAnalyzer: the store is replayed
-// through a fresh analyzer and finalized.
-func BuildMatrix(native *capture.Store, browsers []string) (Matrix, []Finding) {
-	a := NewMatrixAnalyzer(browsers)
-	for _, f := range native.All() {
-		a.observe(f)
-	}
-	return a.Matrix(), a.Findings()
-}
-
 // Leaked reports a cell of the matrix.
 func (m Matrix) Leaked(browser string, a Attribute) bool {
 	row, ok := m[browser]

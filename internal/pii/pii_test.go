@@ -98,13 +98,26 @@ func TestScanNestedBase64(t *testing.T) {
 	}
 }
 
+// TestBuildMatrix builds Table 2 with a MatrixAnalyzer over native
+// flows; an engine flow carrying PII must not count.
 func TestBuildMatrix(t *testing.T) {
-	s := capture.NewStore()
-	s.Add(flowWithQuery("Whale", "api-whale.naver.com", "localIp=192.168.1.100&rooted=true"))
-	s.Add(flowWithQuery("Chrome", "update.googleapis.com", "cup2key=7"))
-	s.Add(flowWithBody("Opera", "s-odx.oleads.com", `{"latitude":35.3,"longitude":25.1}`))
+	a := NewMatrixAnalyzer([]string{"Whale", "Chrome", "Opera"})
+	engine := flowWithQuery("Chrome", "www.example", "tz=Europe/Athens")
+	engine.Origin = capture.OriginEngine
+	if len(ScanFlow(engine)) == 0 {
+		t.Fatal("engine control flow carries no PII")
+	}
+	for _, f := range []*capture.Flow{
+		flowWithQuery("Whale", "api-whale.naver.com", "localIp=192.168.1.100&rooted=true"),
+		flowWithQuery("Chrome", "update.googleapis.com", "cup2key=7"),
+		flowWithBody("Opera", "s-odx.oleads.com", `{"latitude":35.3,"longitude":25.1}`),
+	} {
+		f.Origin = capture.OriginNative
+		a.Observe(f)
+	}
+	a.Observe(engine)
 
-	m, findings := BuildMatrix(s, []string{"Whale", "Chrome", "Opera"})
+	m, findings := a.Matrix(), a.Findings()
 	if !m.Leaked("Whale", AttrLocalIP) || !m.Leaked("Whale", AttrRooted) {
 		t.Errorf("Whale row wrong: %v", m["Whale"])
 	}

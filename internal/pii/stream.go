@@ -7,11 +7,10 @@ import (
 	"panoptes/internal/capture"
 )
 
-// MatrixAnalyzer is the incremental form of BuildMatrix: each
-// committed native flow is scanned as it arrives and its findings
-// folded into per-browser attribute sets, so the Table 2 matrix is
-// available at any point of the campaign. Implements pipeline.Analyzer
-// (plus Reset).
+// MatrixAnalyzer builds Table 2 incrementally: each committed native
+// flow is scanned as it arrives and its findings folded into
+// per-browser attribute sets, so the matrix is available at any point
+// of the campaign. Implements pipeline.Analyzer (plus Reset).
 type MatrixAnalyzer struct {
 	browsers []string
 
@@ -22,8 +21,7 @@ type MatrixAnalyzer struct {
 }
 
 // NewMatrixAnalyzer builds an analyzer producing rows for the given
-// browser names (flows of other browsers are ignored, as in
-// BuildMatrix).
+// browser names (flows of other browsers are ignored).
 func NewMatrixAnalyzer(browsers []string) *MatrixAnalyzer {
 	a := &MatrixAnalyzer{browsers: browsers}
 	a.reset()
@@ -43,15 +41,7 @@ func (a *MatrixAnalyzer) reset() {
 // Observe scans one committed flow from the tap stream. Only native
 // traffic contributes to Table 2.
 func (a *MatrixAnalyzer) Observe(f *capture.Flow) {
-	if f.Origin != capture.OriginNative {
-		return
-	}
-	a.observe(f)
-}
-
-// observe is the origin-agnostic per-flow step shared with batch replay.
-func (a *MatrixAnalyzer) observe(f *capture.Flow) {
-	if f.Browser == "" || !a.rows[f.Browser] {
+	if f.Origin != capture.OriginNative || f.Browser == "" || !a.rows[f.Browser] {
 		return
 	}
 	fs := ScanFlow(f) // regex work happens outside the state lock

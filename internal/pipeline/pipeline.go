@@ -6,11 +6,8 @@
 // flows reach the tap only once the attempt seals, and a faulted
 // attempt's flows never do, so an analyzer is a plain fold over
 // committed history with nothing to undo. An analyzer's Finalize
-// output is required to be byte-identical to the corresponding batch
-// pass over the committed store — the batch functions in
-// internal/analysis, internal/leak and internal/pii are thin wrappers
-// that replay a store through the same analyzers (one code path, two
-// drive modes).
+// output must not depend on whether its flows arrived live or from
+// analysis.Suite.Replay of the stored databases.
 package pipeline
 
 import (

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"panoptes/internal/analysis"
 	"panoptes/internal/capture"
 	"panoptes/internal/faultsim"
 	"panoptes/internal/hostlist"
@@ -145,7 +146,7 @@ type Stats struct {
 type Engine struct {
 	cfg   Config
 	model *Model
-	curve *Curve
+	curve *analysis.Fig5Analyzer
 	wheel *wheel
 
 	backlog     []sessionRef
@@ -194,14 +195,15 @@ func New(cfg Config) (*Engine, error) {
 		cEvents:    obs.Default.Counter("popsim_events_scheduled_total"),
 		cThrottled: obs.Default.Counter("popsim_admission_throttled_total"),
 	}
-	e.curve = NewCurve(profileFleet(cfg.Profiles), e.start, cfg.Duration, cfg.BinSeconds)
+	e.curve = analysis.NewFig5Analyzer(profileFleet(cfg.Profiles), e.start, cfg.Duration, cfg.BinSeconds)
 	e.nextArrivalS = e.model.arrivalGap(0)
 	return e, nil
 }
 
-// Curve returns the population phone-home timeline analyzer, for
+// Curve returns the population's Figure 5 phone-home timeline: native
+// requests binned by virtual time per browser over the run window, for
 // registration on the commit-tap pipeline.
-func (e *Engine) Curve() *Curve { return e.curve }
+func (e *Engine) Curve() *analysis.Fig5Analyzer { return e.curve }
 
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {

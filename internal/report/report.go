@@ -105,7 +105,14 @@ func Fig5(w io.Writer, series []analysis.Fig5Series) {
 		for d, p := range s.DestShares {
 			tops = append(tops, ds{d, p})
 		}
-		sort.Slice(tops, func(i, j int) bool { return tops[i].p > tops[j].p })
+		// Ties break by name: map order must not pick which tied
+		// destinations make the cut or the order they print in.
+		sort.Slice(tops, func(i, j int) bool {
+			if tops[i].p != tops[j].p {
+				return tops[i].p > tops[j].p
+			}
+			return tops[i].d < tops[j].d
+		})
 		if len(tops) > 3 {
 			tops = tops[:3]
 		}

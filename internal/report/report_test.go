@@ -89,6 +89,35 @@ func TestFig5Rendering(t *testing.T) {
 	}
 }
 
+// TestFig5TiedSharesRenderInNameOrder pins the top-destination line
+// under ties: equal shares print in domain-name order, and a tie at the
+// three-entry cut keeps the names that sort first, on every render.
+func TestFig5TiedSharesRenderInNameOrder(t *testing.T) {
+	s := analysis.Fig5Series{Browser: "Edge", BinSeconds: 10, Cumulative: []int{5, 10}, Total: 10,
+		DestShares: map[string]float64{
+			"msn.com": 40, "opera.com": 20, "doubleclick.net": 20,
+			"microsoft.com": 11.4, "cloudflare-dns.com": 11.4, "bing.com": 11.4,
+		}}
+	const want = "msn.com 40.0%, doubleclick.net 20.0%, opera.com 20.0%\n"
+	s2 := analysis.Fig5Series{Browser: "Edge", BinSeconds: 10, Cumulative: []int{5, 10}, Total: 10,
+		DestShares: map[string]float64{
+			"msn.com": 40, "microsoft.com": 12.9,
+			"cloudflare-dns.com": 11.4, "bing.com": 11.4,
+		}}
+	const want2 = "msn.com 40.0%, microsoft.com 12.9%, bing.com 11.4%\n"
+	for i := 0; i < 50; i++ {
+		var sb strings.Builder
+		Fig5(&sb, []analysis.Fig5Series{s, s2})
+		lines := strings.SplitAfter(sb.String(), "\n")
+		if got := strings.TrimLeft(lines[2], " "); got != want {
+			t.Fatalf("render %d: tied shares = %q, want %q", i, got, want)
+		}
+		if got := strings.TrimLeft(lines[4], " "); got != want2 {
+			t.Fatalf("render %d: tie at the cut = %q, want %q", i, got, want2)
+		}
+	}
+}
+
 func TestTable2Rendering(t *testing.T) {
 	m := pii.Matrix{
 		"Whale":  {pii.AttrLocalIP: true, pii.AttrRooted: true},

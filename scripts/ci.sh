@@ -49,6 +49,12 @@ go test -race ./internal/match/... ./internal/pii/...
 echo "==> go test -race (sink, breaker: export dispatchers + shared breakers)"
 go test -race ./internal/sink/... ./internal/breaker/...
 
+echo "==> examples smoke (go run each example; a non-zero exit fails)"
+for ex in examples/*/; do
+    echo "--> ${ex%/}"
+    go run "./${ex%/}" > /dev/null
+done
+
 echo "==> benchmark module smoke (cd bench && go test ./...)"
 # bench/ is its own Go module, so the root go test ./... never builds it.
 (cd bench && go test ./...)
