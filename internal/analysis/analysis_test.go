@@ -339,6 +339,11 @@ func TestFig5UnitBinning(t *testing.T) {
 		{Host: "b.example", Time: start.Add(95 * time.Second)},
 		{Host: "b.example", Time: start.Add(700 * time.Second)}, // clamped to last bin
 		{Host: "c.example", Time: start.Add(-time.Minute)},      // before the window
+		// Less than one bin early: the offset truncates to bin 0, but
+		// these are before the window too.
+		{Host: "c.example", Time: start.Add(-500 * time.Millisecond)},
+		{Host: "c.example", Time: start.Add(-5 * time.Second)},
+		{Host: "c.example", Time: start.Add(-9 * time.Second)},
 	} {
 		f.Browser, f.Origin = "X", capture.OriginNative
 		a.Observe(f)

@@ -523,13 +523,10 @@ func NewFig5Analyzer(browsers []string, start time.Time, duration time.Duration,
 
 // Observe folds one committed native flow into its time bin.
 func (c *Fig5Analyzer) Observe(f *capture.Flow) {
-	if f.Origin != capture.OriginNative {
+	if f.Origin != capture.OriginNative || f.Time.Before(c.start) {
 		return
 	}
 	off := int(f.Time.Sub(c.start).Seconds()) / c.binSecs
-	if off < 0 {
-		return
-	}
 	if off >= c.nBins {
 		off = c.nBins - 1
 	}

@@ -39,10 +39,32 @@ func init() {
 // Retract names an attempt no tap will ever see. The streaming analysis
 // pipeline (internal/pipeline) and the export plane (internal/sink)
 // implement Tap.
+//
+// A tap may also take a committed batch (DB.CommitAll, DB.SealAttempt)
+// in one call by implementing ObserveAll(fs []*Flow), which must act as
+// Observe on each flow of fs in order; any other tap gets the batch as
+// one Observe per flow.
 type Tap interface {
 	Observe(f *Flow)
 	Retract(attempt int64)
 	Seal(attempt int64)
+}
+
+// batchTap is the optional batch form of Tap.Observe. The analysis
+// pipeline implements it to fold long batches in parallel.
+type batchTap interface {
+	ObserveAll(fs []*Flow)
+}
+
+// observeAll hands a committed batch to t.
+func observeAll(t Tap, fs []*Flow) {
+	if b, ok := t.(batchTap); ok {
+		b.ObserveAll(fs)
+		return
+	}
+	for _, f := range fs {
+		t.Observe(f)
+	}
 }
 
 // Taps fans the commit stream out to several taps in order — the
@@ -54,6 +76,14 @@ type Taps []Tap
 func (ts Taps) Observe(f *Flow) {
 	for _, t := range ts {
 		t.Observe(f)
+	}
+}
+
+// ObserveAll hands a batch to every member in order: whole, to a
+// member that takes batches, and flow by flow to the rest.
+func (ts Taps) ObserveAll(fs []*Flow) {
+	for _, t := range ts {
+		observeAll(t, fs)
 	}
 }
 
@@ -269,7 +299,8 @@ func EnsureFlowIDsAbove(n int64) {
 func (s *Store) Add(f *Flow) {
 	s.stamp(f)
 	if f.Attempt == 0 || s.gate == nil {
-		s.commit(f)
+		s.file(f)
+		s.observe(f)
 		return
 	}
 	f.Ref() // the gate's reference, dropped once the attempt seals or is removed
@@ -289,18 +320,21 @@ func (s *Store) stamp(f *Flow) {
 	}
 }
 
-// commit files a flow (or, with retention off, spills it), then feeds
-// it to the commit tap.
-func (s *Store) commit(f *Flow) {
+// file retains a committed flow or, with retention off, spills it.
+func (s *Store) file(f *Flow) {
 	if s.noRetain.Load() {
 		s.spillOut(f)
-	} else {
-		f.Ref() // the store's reference, dropped by Reset
-		s.mu.Lock()
-		s.flows = append(s.flows, f)
-		s.mu.Unlock()
-		s.resize(f, 1)
+		return
 	}
+	f.Ref() // the store's reference, dropped by Reset
+	s.mu.Lock()
+	s.flows = append(s.flows, f)
+	s.mu.Unlock()
+	s.resize(f, 1)
+}
+
+// observe feeds one filed flow to the commit tap.
+func (s *Store) observe(f *Flow) {
 	if t := s.tap; t != nil {
 		t.Observe(f)
 	}
@@ -475,7 +509,8 @@ func (s *Store) ReadJSONL(r io.Reader) error {
 			return fmt.Errorf("capture: line %d: %w", line, err)
 		}
 		s.stamp(&f)
-		s.commit(&f)
+		s.file(&f)
+		s.observe(&f)
 	}
 	return sc.Err()
 }
@@ -564,6 +599,28 @@ func (db *DB) FullyRetained() bool {
 	return db.Engine.Retained() && db.Native.Retained()
 }
 
+// CommitAll commits a batch of untagged flows (Attempt 0) in slice
+// order: each is stamped and filed (or spilled) in its origin's store,
+// then the tap takes the whole batch. It is Add for every flow, with
+// one tap call instead of len(fs); tagged flows must go through Add.
+func (db *DB) CommitAll(fs []*Flow) {
+	for _, f := range fs {
+		db.StoreFor(f.Origin).stamp(f)
+	}
+	db.commit(fs)
+}
+
+// commit files each flow in its origin's store, then hands the batch
+// to the tap. Both batch commits, CommitAll and SealAttempt, end here.
+func (db *DB) commit(fs []*Flow) {
+	for _, f := range fs {
+		db.StoreFor(f.Origin).file(f)
+	}
+	if db.tap != nil {
+		observeAll(db.tap, fs)
+	}
+}
+
 // SealAttempt commits a navigation attempt: its parked flows are filed
 // (or spilled) and passed to the tap in capture order, then the tap gets
 // the Seal notice. Call it once the attempt's flows have all been added
@@ -572,10 +629,12 @@ func (db *DB) SealAttempt(attempt int64) {
 	if attempt == 0 {
 		return
 	}
-	for _, f := range db.gate.take(attempt) {
-		s := db.StoreFor(f.Origin)
-		s.unpark(f)
-		s.commit(f)
+	flows := db.gate.take(attempt)
+	for _, f := range flows {
+		db.StoreFor(f.Origin).unpark(f)
+	}
+	db.commit(flows)
+	for _, f := range flows {
 		f.Release() // the gate's reference
 	}
 	if db.tap != nil {

@@ -169,17 +169,14 @@ type Finding struct {
 	FlowID    int64
 }
 
-// jsonFieldPat pulls "key":"value" and "key":number pairs out of bodies
-// without a full JSON parse (the paper's keyword/regex methodology; it
-// also catches malformed or truncated bodies).
-var jsonFieldPat = regexp.MustCompile(`"([A-Za-z0-9_.-]+)"\s*:\s*("([^"]*)"|-?\d+(\.\d+)?|true|false)`)
-
 // ScanFlow inspects one flow's query parameters and body.
 func ScanFlow(f *capture.Flow) []Finding {
 	var out []Finding
+	// A finding clones its key and value: body pairs are substrings of
+	// the whole body, which the finding must not keep alive.
 	record := func(i int, key, val string) {
 		out = append(out, Finding{Attribute: detectors[i].attr, Browser: f.Browser,
-			Host: f.Host, Key: key, Value: val, FlowID: f.ID})
+			Host: f.Host, Key: strings.Clone(key), Value: strings.Clone(val), FlowID: f.ID})
 	}
 	// emit evaluates one key/value pair. Key dispatch is a single
 	// dictionary probe; the candidate indices (ascending) are merged
@@ -229,18 +226,16 @@ func forEachPair(f *capture.Flow, emit func(key, val string)) {
 				emit(k, v)
 				// Nested: a Base64 or %-escaped payload inside a value.
 				for _, dec := range decodeNested(v) {
-					for _, m := range jsonFieldPat.FindAllStringSubmatch(dec, -1) {
-						emit(m[1], strings.Trim(m[2], `"`))
-					}
+					forEachJSONField(dec, emit)
 				}
 			}
 		}
 	}
 
-	// Body fields (JSON-ish), matched over the captured bytes directly —
-	// the old string(f.Body) conversion copied every body once per scan.
-	for _, m := range jsonFieldPat.FindAllSubmatch(f.Body, -1) {
-		emit(string(m[1]), string(bytes.Trim(m[2], `"`)))
+	// Body fields (JSON-ish). A body with a quote is copied once; its
+	// pairs are substrings of the copy.
+	if bytes.IndexByte(f.Body, '"') >= 0 {
+		forEachJSONField(string(f.Body), emit)
 	}
 	// Form-encoded bodies. Keys are sorted, as for the query section,
 	// so a flow's findings come out in a deterministic order.
@@ -272,6 +267,92 @@ func forEachPair(f *capture.Flow, emit func(key, val string)) {
 			}
 		}
 	}
+}
+
+// forEachJSONField pulls "key":"value", "key":number and "key":bool
+// pairs out of s without a full JSON parse (the paper's keyword/regex
+// methodology; it also catches malformed or truncated bodies). It
+// yields exactly the leftmost, non-overlapping matches of
+//
+//	"([A-Za-z0-9_.-]+)"\s*:\s*("([^"]*)"|-?\d+(\.\d+)?|true|false)
+//
+// (the tests hold this regexp as the spec), a string value without
+// its quotes. Every match opens at a quote, so one pass over the quotes
+// finds them all: a quote that starts no match is skipped, and the
+// scan resumes after each match.
+func forEachJSONField(s string, emit func(key, val string)) {
+	for i := strings.IndexByte(s, '"'); i >= 0; i = strings.IndexByte(s, '"') {
+		key, val, n := jsonField(s[i:])
+		if n == 0 {
+			s = s[i+1:]
+			continue
+		}
+		emit(key, val)
+		s = s[i+n:]
+	}
+}
+
+// jsonField matches one field at the start of s, which opens with a
+// quote. It returns the key, the value and the match length, or n == 0.
+// No class in the pattern admits the byte that ends its run, so each
+// run is maximal and the match needs no backtracking.
+func jsonField(s string) (key, val string, n int) {
+	k := skip(s, 1, isKeyByte)
+	if k == 1 || k == len(s) || s[k] != '"' {
+		return "", "", 0
+	}
+	i := skip(s, k+1, isSpace)
+	if i == len(s) || s[i] != ':' {
+		return "", "", 0
+	}
+	i = skip(s, i+1, isSpace)
+	if i == len(s) {
+		return "", "", 0
+	}
+	key, v := s[1:k], s[i:]
+	switch {
+	case v[0] == '"':
+		if j := strings.IndexByte(v[1:], '"'); j >= 0 {
+			return key, v[1 : 1+j], i + j + 2
+		}
+	case v[0] == '-' || isDigit(v[0]):
+		sign := 0
+		if v[0] == '-' {
+			sign = 1
+		}
+		d := skip(v, sign, isDigit)
+		if d == sign {
+			return "", "", 0
+		}
+		if d+1 < len(v) && v[d] == '.' && isDigit(v[d+1]) {
+			d = skip(v, d+1, isDigit)
+		}
+		return key, v[:d], i + d
+	case strings.HasPrefix(v, "true"):
+		return key, v[:4], i + 4
+	case strings.HasPrefix(v, "false"):
+		return key, v[:5], i + 5
+	}
+	return "", "", 0
+}
+
+// skip returns the end of the run of class bytes that starts at i.
+func skip(s string, i int, class func(byte) bool) int {
+	for i < len(s) && class(s[i]) {
+		i++
+	}
+	return i
+}
+
+func isKeyByte(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || isDigit(c) || c == '_' || c == '.' || c == '-'
+}
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+// isSpace is RE2's \s: [\t\n\f\r ].
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\f' || c == '\r'
 }
 
 // decodeNested tries %-unescape and Base64 on a value, returning any

@@ -2,6 +2,9 @@ package pii
 
 import (
 	"net/http"
+	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"panoptes/internal/capture"
@@ -163,4 +166,53 @@ func BenchmarkScanFlow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ScanFlow(f)
 	}
+}
+
+// jsonFieldPat is the spec of forEachJSONField: "key":"value",
+// "key":number and "key":bool pairs, found leftmost first and without
+// overlap, a string value without its quotes.
+var jsonFieldPat = regexp.MustCompile(`"([A-Za-z0-9_.-]+)"\s*:\s*("([^"]*)"|-?\d+(\.\d+)?|true|false)`)
+
+// jsonFieldsSpec lists s's pairs by jsonFieldPat.
+func jsonFieldsSpec(s string) [][2]string {
+	var out [][2]string
+	for _, m := range jsonFieldPat.FindAllStringSubmatch(s, -1) {
+		out = append(out, [2]string{m[1], strings.Trim(m[2], `"`)})
+	}
+	return out
+}
+
+// jsonFields lists s's pairs by forEachJSONField.
+func jsonFields(s string) [][2]string {
+	var out [][2]string
+	forEachJSONField(s, func(k, v string) { out = append(out, [2]string{k, v}) })
+	return out
+}
+
+func TestJSONFieldsMatchRegexpSpec(t *testing.T) {
+	for _, s := range []string{
+		`{"latitude":35.3387,"longitude":-25.1442,"deviceVendor":"Samsung","rooted":false,"ok":true}`,
+		`{"a" : "b", "c"` + "\t:\n" + `""}`,
+		`"n":-`, `"n":-x`, `"n":1.`, `"n":1.5.6`, `"n":01a`, `"b":trueish`, `"b":fals`,
+		`"s":"unterminated`, `"a":"b":"c"`, `""a":1`, `"a"b":2`, `"k"` + "\v" + `:1`,
+		"\xc3\"k\":\"v\"", `"k":` + "\xff", `"k.v-1_x":"\n"`, `"k": `, `"k"`, ``,
+	} {
+		if got, want := jsonFields(s), jsonFieldsSpec(s); !reflect.DeepEqual(got, want) {
+			t.Errorf("forEachJSONField(%q) = %q, want %q", s, got, want)
+		}
+	}
+}
+
+// FuzzJSONFieldsVsRegexp holds the one-pass field scanner to
+// jsonFieldPat over arbitrary bytes.
+func FuzzJSONFieldsVsRegexp(f *testing.F) {
+	f.Add(`{"latitude":35.3387,"longitude":-25.1442,"deviceVendor":"Samsung","rooted":false}`)
+	f.Add(`{"a" : "b", "c"` + "\t:\r\f" + `"", "n":-1.x, "t":truefalse}`)
+	f.Add(`""a":"b":"c"` + "\xff\"d\":1.5.6")
+	f.Add(``)
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := jsonFields(s), jsonFieldsSpec(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("forEachJSONField(%q) = %q, want %q", s, got, want)
+		}
+	})
 }

@@ -1,0 +1,163 @@
+package pipeline_test
+
+import (
+	"encoding/base64"
+	"encoding/json"
+	"fmt"
+	"net/url"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+
+	"panoptes/internal/analysis"
+	"panoptes/internal/capture"
+	"panoptes/internal/dnsmsg"
+	"panoptes/internal/hostlist"
+	"panoptes/internal/obs"
+	"panoptes/internal/pipeline"
+)
+
+// orderAnalyzer records the IDs of the flows it observes, in order.
+type orderAnalyzer struct {
+	mu  sync.Mutex
+	ids []int64
+}
+
+func (a *orderAnalyzer) Observe(f *capture.Flow) {
+	a.mu.Lock()
+	a.ids = append(a.ids, f.ID)
+	a.mu.Unlock()
+}
+
+func (a *orderAnalyzer) Finalize() any {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return append([]int64(nil), a.ids...)
+}
+
+var mixBrowsers = []string{"Chrome", "Yandex", "Opera"}
+
+// flowMix builds n flows shaped like population visits: engine
+// documents and ad sub-resources, native beacons leaking the visited
+// URL plain and in Base64, PII queries and JSON bodies, identifiers,
+// WebSocket frames and DoH queries.
+func flowMix(t *testing.T, n int) []*capture.Flow {
+	t.Helper()
+	const uuid = "3929d87cfa02a9437044a54d3c0e7e6d"
+	out := make([]*capture.Flow, n)
+	for i := range out {
+		visit := fmt.Sprintf("https://site%d.example/page/%d", i%17, i%5)
+		f := &capture.Flow{
+			ID: capture.NextFlowID(), Browser: mixBrowsers[i%len(mixBrowsers)],
+			Method: "GET", Scheme: "https", Status: 200, Transport: capture.TransportH1,
+			Origin: capture.OriginNative, VisitURL: visit, ReqBytes: 100 + i%50, RespBytes: 64,
+		}
+		switch i % 8 {
+		case 0:
+			f.Origin, f.Host, f.Path = capture.OriginEngine, fmt.Sprintf("site%d.example", i%17), "/"
+		case 1:
+			f.Origin, f.Host, f.Path = capture.OriginEngine, "ad.doubleclick.net", "/pagead"
+			f.RawQuery = "ref=" + url.QueryEscape(visit)
+		case 2:
+			f.Host, f.Path = "api.vendor.example", "/v1/visit"
+			f.RawQuery = "u=" + base64.StdEncoding.EncodeToString([]byte(visit)) + "&uuid=" + uuid
+		case 3:
+			f.Host, f.Path = "stats.vendor.example", "/device/profile"
+			f.RawQuery = fmt.Sprintf("country=GR&lat=35.%d&tz=Europe/Athens&localIp=192.168.1.%d", i%97, i%200)
+		case 4:
+			f.Method, f.Host, f.Path = "POST", "ads.vendor.example", "/report"
+			f.Body = []byte(fmt.Sprintf(`{"operaId":"%s","dpi":%d,"rooted":false,"url":"%s"}`, uuid, 200+i%200, visit))
+		case 5:
+			f.Method, f.Scheme, f.Host, f.Path = "WS", "wss", "push.vendor.example", "/push/v1/telemetry"
+			f.Transport = capture.TransportWS
+			f.Body = []byte(fmt.Sprintf(`{"event":"page_visit","seq":%d,"url":%q}`, i, visit))
+		case 6:
+			q, err := dnsmsg.NewQuery(uint16(i), fmt.Sprintf("site%d.example", i%17), dnsmsg.TypeA).Pack()
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Method, f.Host, f.Path, f.Transport, f.Body = "POST", "dns.vendor.example", "/dns-query", capture.TransportDoH, q
+		default:
+			f.Host, f.Path, f.VisitURL = []string{"t.vendor.example", "adfox.ru"}[i/8%2], "/beacon", ""
+		}
+		out[i] = f
+	}
+	return out
+}
+
+// suitePipeline registers a full analysis suite plus order recorders
+// under the given name prefix.
+func suitePipeline(prefix string) (*pipeline.Pipeline, []string) {
+	p := pipeline.New()
+	analysis.NewSuite(hostlist.Bundled(), mixBrowsers).Register(p)
+	for i := 0; i < 3; i++ {
+		p.Register(fmt.Sprintf("%sorder-%d", prefix, i), &orderAnalyzer{})
+	}
+	return p, p.Names()
+}
+
+// TestObserveAllMatchesObserve: a batch folded in lanes leaves every
+// analyzer exactly where per-flow Observe calls leave it — the same
+// observation order, byte-identical results — at one lane and at
+// several, and pipeline_observed_total advances by exactly the batch.
+func TestObserveAllMatchesObserve(t *testing.T) {
+	flows := flowMix(t, 3*pipeline.Chunk+517)
+	ref, _ := suitePipeline("")
+	for _, f := range flows {
+		ref.Observe(f)
+	}
+	wantRes := ref.Results()
+	want, err := json.Marshal(wantRes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			p, names := suitePipeline("")
+			before := map[string]int64{}
+			for _, name := range names {
+				before[name] = obs.Default.Counter("pipeline_observed_total", "analyzer", name).Value()
+			}
+			p.ObserveAll(flows)
+			for _, name := range names {
+				if got := obs.Default.Counter("pipeline_observed_total", "analyzer", name).Value() - before[name]; got != int64(len(flows)) {
+					t.Errorf("%s: observed_total delta %d, want %d", name, got, len(flows))
+				}
+			}
+			gotRes := p.Results()
+			for _, name := range names {
+				if ids, ok := wantRes[name].([]int64); ok && !reflect.DeepEqual(gotRes[name], ids) {
+					t.Errorf("%s: observation order differs from per-flow Observe", name)
+				}
+			}
+			got, err := json.Marshal(gotRes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("ObserveAll results differ from per-flow Observe:\n got %s\nwant %s", got, want)
+			}
+		})
+	}
+}
+
+// TestObserveAllShortBatchFoldsLikeObserve: below one chunk the batch
+// path is the per-flow fold, sampled timing included.
+func TestObserveAllShortBatchFoldsLikeObserve(t *testing.T) {
+	const name = "short-batch"
+	h := obs.Default.Histogram("pipeline_observe_seconds", obs.ExponentialBuckets(1e-6, 4, 10), "analyzer", name)
+	timed0 := h.Count()
+	p := pipeline.New()
+	a := &orderAnalyzer{}
+	p.Register(name, a)
+	flows := flowMix(t, pipeline.Chunk-1)
+	p.ObserveAll(flows)
+	if got, want := h.Count()-timed0, int64((len(flows)+63)/64); got != want {
+		t.Errorf("timed %d flows, want %d (the first and every 64th)", got, want)
+	}
+	if len(a.ids) != len(flows) || a.ids[0] != flows[0].ID || a.ids[len(flows)-1] != flows[len(flows)-1].ID {
+		t.Errorf("short batch observed %d flows out of order", len(a.ids))
+	}
+}

@@ -168,9 +168,15 @@ type Engine struct {
 	cEvents    *obs.Counter
 	cThrottled *obs.Counter
 
-	buf     []event
-	jobs    []synthJob
+	buf  []event
+	jobs []synthJob
+	// results[i] holds the flows job slot i synthesized last, with the
+	// engine's reference on each: a synthesis worker releases them right
+	// before it fills the slot again, so recycled records go back to the
+	// pool on the goroutine that reacquires them. batch is the tick's
+	// flows in job order, as committed.
 	results [][]*capture.Flow
+	batch   []*capture.Flow
 }
 
 // New builds an engine. The run window starts at the clock's current
@@ -226,12 +232,16 @@ func (e *Engine) Run() error { return e.RunUntil(e.cfg.Duration) }
 // RunUntil advances the simulation to the given elapsed virtual time.
 // It is incremental: successive calls with growing targets resume
 // exactly where the previous call stopped, and a paused-and-resumed
-// run commits the same flow stream as a straight one.
+// run commits the same flow stream as a straight one. The engine holds
+// no flow reference once it returns.
 func (e *Engine) RunUntil(elapsed time.Duration) error {
 	target := uint32(elapsed / tickDur)
 	for e.wheel.cursor < target {
 		e.step()
 	}
+	e.releaseFrom(0)
+	clear(e.batch)
+	e.batch = e.batch[:0]
 	return nil
 }
 
@@ -364,10 +374,13 @@ func ticksOf(d time.Duration) uint32 {
 
 // flush synthesizes the tick's queued visits — fanned out to
 // Parallelism workers when worthwhile — and commits the flows in job
-// order on the loop thread. IDs are assigned at commit, so the
-// committed stream is identical at any parallelism.
+// order on the loop thread, as one batch. IDs are assigned at commit,
+// so the committed stream is identical at any parallelism. Each slot's
+// previous flows are released by whoever synthesizes the slot again;
+// slots this tick leaves unused are released first.
 func (e *Engine) flush() {
 	jobs := e.jobs
+	e.releaseFrom(len(jobs))
 	if len(jobs) == 0 {
 		return
 	}
@@ -375,6 +388,7 @@ func (e *Engine) flush() {
 		e.results = append(e.results, nil)
 	}
 	res := e.results[:len(jobs)]
+	synth := func(i int) { res[i] = e.model.synthesize(jobs[i], release(res[i])) }
 	if p := e.cfg.Parallelism; p > 1 && len(jobs) >= 2*p {
 		var wg sync.WaitGroup
 		for w := 0; w < p; w++ {
@@ -382,25 +396,43 @@ func (e *Engine) flush() {
 			go func(w int) {
 				defer wg.Done()
 				for i := w; i < len(jobs); i += p {
-					res[i] = e.model.synthesize(jobs[i], res[i][:0])
+					synth(i)
 				}
 			}(w)
 		}
 		wg.Wait()
 	} else {
 		for i := range jobs {
-			res[i] = e.model.synthesize(jobs[i], res[i][:0])
+			synth(i)
 		}
 	}
+	e.batch = e.batch[:0]
 	for i := range jobs {
 		for _, f := range res[i] {
 			f.ID = capture.NextFlowID()
 			if !e.idSet {
 				e.idBase, e.idSet = f.ID-1, true
 			}
-			e.cfg.DB.StoreFor(f.Origin).Add(f)
-			f.Release()
-			e.stats.FlowsCommitted++
+			e.batch = append(e.batch, f)
 		}
 	}
+	e.cfg.DB.CommitAll(e.batch)
+	e.stats.FlowsCommitted += int64(len(e.batch))
+}
+
+// releaseFrom releases the flows held by job slots from on.
+func (e *Engine) releaseFrom(from int) {
+	for i := from; i < len(e.results); i++ {
+		e.results[i] = release(e.results[i])
+	}
+}
+
+// release drops the engine's reference on each flow of a job slot and
+// returns the slot emptied.
+func release(fs []*capture.Flow) []*capture.Flow {
+	for i, f := range fs {
+		f.Release()
+		fs[i] = nil
+	}
+	return fs[:0]
 }

@@ -175,6 +175,89 @@ func TestPopulationDeterminism(t *testing.T) {
 	if got := resumed.fingerprint(t); got != want {
 		t.Error("paused-and-resumed run diverged from straight run")
 	}
+
+	// A dense run commits ticks longer than the pipeline's batch chunk
+	// (1024 flows), which the pipeline folds in parallel lanes; folded
+	// flow by flow, the same run must come out byte-identical.
+	dense := func(c *Config) {
+		c.Population = 600
+		c.Duration = 10 * time.Second
+		c.RampUp = 2 * time.Second
+		c.AdmitPerSec = 1000
+		c.Parallelism = 2
+	}
+	laned := newPopHarness(t, dense)
+	sizes := &batchSizes{Pipeline: laned.pl}
+	laned.db.SetTap(sizes)
+	serial := newPopHarness(t, dense)
+	serial.db.SetTap(flowByFlow{serial.pl})
+	for _, h := range []*popHarness{laned, serial} {
+		if err := h.engine.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sizes.max <= 1024 {
+		t.Fatalf("dense run's longest tick is %d flows; the lanes path is untested", sizes.max)
+	}
+	if laned.fingerprint(t) != serial.fingerprint(t) {
+		t.Error("batch fold in lanes diverged from the per-flow fold")
+	}
+}
+
+// batchSizes is the pipeline as a commit tap, noting the longest batch.
+type batchSizes struct {
+	*pipeline.Pipeline
+	max int
+}
+
+func (b *batchSizes) ObserveAll(fs []*capture.Flow) {
+	b.max = max(b.max, len(fs))
+	b.Pipeline.ObserveAll(fs)
+}
+
+// flowByFlow hides a tap's ObserveAll, so every batch reaches it as one
+// Observe per flow.
+type flowByFlow struct{ capture.Tap }
+
+// refTap pins every committed flow, as a retaining export sink does.
+type refTap struct{ flows []*capture.Flow }
+
+func (t *refTap) Observe(f *capture.Flow) {
+	f.Ref()
+	t.flows = append(t.flows, f)
+}
+func (t *refTap) Retract(int64) {}
+func (t *refTap) Seal(int64)    {}
+
+// TestRunUntilHoldsNoFlows: once RunUntil returns the engine holds no
+// reference on any flow it committed, so when the last other holder
+// lets go every record is recycled (resetForReuse zeroes it).
+func TestRunUntilHoldsNoFlows(t *testing.T) {
+	h := newPopHarness(t, func(c *Config) {
+		c.Population = 200
+		c.Duration = 20 * time.Second
+		c.AdmitPerSec = 100
+		c.Parallelism = 2
+	})
+	for _, until := range []time.Duration{10 * time.Second, 20 * time.Second} {
+		tap := &refTap{}
+		h.db.SetTap(capture.Taps{h.pl, tap})
+		if err := h.engine.RunUntil(until); err != nil {
+			t.Fatal(err)
+		}
+		if len(tap.flows) == 0 {
+			t.Fatalf("RunUntil(%v) committed no flows", until)
+		}
+		for _, f := range tap.flows {
+			f.Release()
+		}
+		for i, f := range tap.flows {
+			if f.ID != 0 || f.Host != "" || f.Browser != "" {
+				t.Fatalf("RunUntil(%v): flow %d of %d (id %d) still referenced after the tap released it",
+					until, i, len(tap.flows), f.ID)
+			}
+		}
+	}
 }
 
 // TestPopulationBoundedResidency is the 10k-user smoke: under

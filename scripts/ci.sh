@@ -36,7 +36,9 @@ go test -race ./internal/webengine/...
 
 echo "==> go test -race (core, leak, pipeline, analysis, fabric: concurrent scheduler + streaming analyzers)"
 # The analyzers and the fabric shipper observe sealed attempts from the
-# campaign goroutine while proxy goroutines commit untagged flows. -p 1
+# campaign goroutine while proxy goroutines commit untagged flows, and
+# the pipeline folds long batches in parallel lanes
+# (TestObserveAllMatchesObserve). -p 1
 # runs the packages one at a time: the fabric's lease janitor expires
 # leases on wall-clock silence, and competing race-instrumented packages
 # can starve a worker's heartbeat pump past StaleAfter.
@@ -45,6 +47,9 @@ go test -race -p 1 ./internal/core/... ./internal/leak/... ./internal/pipeline/.
 
 echo "==> go test -race (match, pii: shared automaton + dictionary dispatch)"
 go test -race ./internal/match/... ./internal/pii/...
+
+echo "==> fuzz smoke: pii body-field scanner vs its regexp spec (10 s)"
+go test -run '^$' -fuzz FuzzJSONFieldsVsRegexp -fuzztime 10s ./internal/pii/
 
 echo "==> go test -race (sink, breaker: export dispatchers + shared breakers)"
 go test -race ./internal/sink/... ./internal/breaker/...
@@ -74,12 +79,14 @@ echo "==> fault-seed chaos smoke (10% fault rate campaign under -race, all trans
 go test -race -p 1 -count=1 -run 'TestChaosCampaign|TestFaultCampaignDeterminism|TestDataPlaneDeterminism|TestFabricDeterminism' \
     ./internal/core/ ./internal/faultsim/ ./internal/fabric/
 
-echo "==> population engine gate (determinism keystone + 10k-user bounded-residency smoke under -race)"
+echo "==> population engine gate (determinism keystone + 10k-user bounded-residency smoke under -race, 1 and 4 lanes)"
 # The population keystone pins the analyses byte-identical across
-# synthesis parallelism 1/8 and pause/resume; the bounded-residency
-# smoke runs 10k users under retain=none and requires zero resident
-# flows and head-sampling under its cap.
-go test -race -count=1 -run 'TestPopulationDeterminism|TestPopulationBoundedResidency' \
+# synthesis parallelism 1/8, pause/resume, and a dense run folded in
+# pipeline lanes versus flow by flow; the bounded-residency smoke runs
+# 10k users under retain=none and requires zero resident flows and
+# head-sampling under its cap. -cpu 1,4 runs both with one pipeline
+# lane and with several.
+go test -race -count=1 -cpu 1,4 -run 'TestPopulationDeterminism|TestPopulationBoundedResidency' \
     ./internal/popsim/
 
 # The benchmark smokes below only check that every benchmark still runs;
