@@ -43,7 +43,7 @@ func main() {
 		sites     = flag.Int("sites", 200, "crawl-list size (paper: 1000; half Tranco, half sensitive)")
 		browsers  = flag.String("browsers", "", "comma-separated browser names (default: all 15)")
 		incognito = flag.Bool("incognito", false, "crawl in incognito mode")
-		parallel  = flag.Int("parallel", 0, "browsers crawled concurrently (0 = GOMAXPROCS, 1 = sequential)")
+		parallel  = flag.Int("parallel", 0, "browsers crawled concurrently, or with -population the flow-synthesis workers (0 = GOMAXPROCS, 1 = sequential)")
 		idleDur   = flag.Duration("idle", 10*time.Minute, "idle-experiment duration (virtual time)")
 		outDir    = flag.String("out", "", "directory for JSONL flow databases and CSV outputs")
 		harOut    = flag.Bool("har", false, "with -out: also export HAR 1.2 archives")
@@ -270,7 +270,7 @@ func main() {
 			Population:  *population,
 			Duration:    *popDur,
 			Seed:        *popSeed,
-			Parallelism: *parallel,
+			Parallelism: workerCount(*parallel),
 		})
 		if err != nil {
 			fatalf("population: %v", err)
@@ -321,10 +321,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "panoptes: fabric: %d leases issued, %d reclaimed, %d duplicate completions dropped; %d worker restarts; %d flows merged, %d quarantined\n",
 				st.LeasesIssued, st.LeasesReclaimed, st.DuplicateDrops, st.WorkerRestarts, st.FlowsMerged, st.FlowsQuarantined)
 		} else {
-			workers := *parallel
-			if workers <= 0 {
-				workers = runtime.GOMAXPROCS(0)
-			}
+			workers := workerCount(*parallel)
 			ccfg := core.CampaignConfig{
 				Incognito:   *incognito,
 				Parallelism: *parallel,
@@ -608,6 +605,15 @@ func createFile(dir, name string) *os.File {
 		fatalf("create %s: %v", name, err)
 	}
 	return f
+}
+
+// workerCount resolves -parallel: 0 (the default) or less means one
+// worker per GOMAXPROCS.
+func workerCount(parallel int) int {
+	if parallel <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return parallel
 }
 
 func startVirtual() time.Time {

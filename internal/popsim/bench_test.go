@@ -61,6 +61,7 @@ func BenchmarkPopulationScaling(b *testing.B) {
 					// first session inside the window at every size.
 					c.AdmitPerSec = float64(n) / 15
 					c.SampleEvery = 256
+					c.Parallelism = runtime.GOMAXPROCS(0)
 				})
 				runtime.GC()
 				sampler := startRSSSampler()

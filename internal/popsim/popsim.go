@@ -58,9 +58,11 @@ type Config struct {
 	// Throttled session starts wait in a FIFO backlog, not the wheel.
 	AdmitPerSec float64
 	AdmitBurst  int
-	// Parallelism fans flow synthesis out to this many workers. The
-	// event loop and the commit order stay single-threaded, so results
-	// are identical at any setting (default 1).
+	// Parallelism is the number of flow-synthesis workers (default 1).
+	// They synthesize a tick's next commit group while the event loop
+	// commits the current one; the loop assigns IDs and commits in job
+	// order, so results are identical at any setting. Even at 1 the
+	// worker runs beside the committing loop.
 	Parallelism int
 	// RampUp spreads fresh-user arrivals (default Duration).
 	RampUp time.Duration
@@ -170,14 +172,33 @@ type Engine struct {
 
 	buf  []event
 	jobs []synthJob
-	// results[i] holds the flows job slot i synthesized last, with the
-	// engine's reference on each: a synthesis worker releases them right
-	// before it fills the slot again, so recycled records go back to the
-	// pool on the goroutine that reacquires them. batch is the tick's
-	// flows in job order, as committed.
-	results [][]*capture.Flow
-	batch   []*capture.Flow
+	// ring holds the job slots: job i of a tick fills slot
+	// i % ringSlots. A slot keeps its flows, with the engine's reference
+	// on each, until the synthesis worker that fills it next releases
+	// them, so recycled records go back to the pool on the goroutine
+	// that reacquires them. batch is the open commit group's flows in
+	// job order.
+	ring  []slot
+	batch []*capture.Flow
 }
+
+// slot is one job's place in the ring: the flows the job synthesized
+// and the signal that they are ready to commit.
+type slot struct {
+	flows []*capture.Flow
+	ready chan struct{}
+}
+
+// ringSlots is the job-slot ring's length, and so how far synthesis
+// may run ahead of the commit: at the ~50 flows a visit averages, a
+// group of groupFlows spans about 20 jobs, so the ring holds the group
+// being committed plus two more being synthesized. It is the engine's
+// flow working set, fixed however many jobs a tick holds.
+const ringSlots = 64
+
+// groupFlows is the least number of flows a commit group holds: one
+// pipeline chunk, so every group but a tick's tail folds in lanes.
+const groupFlows = 1024
 
 // New builds an engine. The run window starts at the clock's current
 // instant; the curve analyzer (Curve) is ready to be registered on the
@@ -200,6 +221,10 @@ func New(cfg Config) (*Engine, error) {
 		cSessions:  obs.Default.Counter("popsim_sessions_total"),
 		cEvents:    obs.Default.Counter("popsim_events_scheduled_total"),
 		cThrottled: obs.Default.Counter("popsim_admission_throttled_total"),
+	}
+	e.ring = make([]slot, ringSlots)
+	for i := range e.ring {
+		e.ring[i].ready = make(chan struct{}, 1)
 	}
 	e.curve = analysis.NewFig5Analyzer(profileFleet(cfg.Profiles), e.start, cfg.Duration, cfg.BinSeconds)
 	e.nextArrivalS = e.model.arrivalGap(0)
@@ -239,7 +264,9 @@ func (e *Engine) RunUntil(elapsed time.Duration) error {
 	for e.wheel.cursor < target {
 		e.step()
 	}
-	e.releaseFrom(0)
+	for i := range e.ring {
+		e.ring[i].flows = release(e.ring[i].flows)
+	}
 	clear(e.batch)
 	e.batch = e.batch[:0]
 	return nil
@@ -372,59 +399,58 @@ func ticksOf(d time.Duration) uint32 {
 	return n
 }
 
-// flush synthesizes the tick's queued visits — fanned out to
-// Parallelism workers when worthwhile — and commits the flows in job
-// order on the loop thread, as one batch. IDs are assigned at commit,
-// so the committed stream is identical at any parallelism. Each slot's
-// previous flows are released by whoever synthesizes the slot again;
-// slots this tick leaves unused are released first.
+// flush synthesizes the tick's queued visits on Parallelism workers
+// and commits their flows in job order on the loop goroutine. The jobs
+// are cut at job boundaries into commit groups of at least groupFlows
+// flows (a tick's tail may hold fewer, and a group never spans more
+// than the ring), and the workers synthesize the next group while the
+// loop commits the current one. The loop hands a job to the workers
+// only once the job that last used its slot has been committed. IDs
+// are assigned at commit, so the committed stream is identical at any
+// parallelism.
 func (e *Engine) flush() {
 	jobs := e.jobs
-	e.releaseFrom(len(jobs))
 	if len(jobs) == 0 {
 		return
 	}
-	for len(e.results) < len(jobs) {
-		e.results = append(e.results, nil)
+	// At most ringSlots jobs are handed out and not yet committed, so
+	// dispatch never blocks.
+	work := make(chan int, ringSlots)
+	var wg sync.WaitGroup
+	for w := min(e.cfg.Parallelism, len(jobs), ringSlots); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				s := &e.ring[i%ringSlots]
+				s.flows = e.model.synthesize(jobs[i], release(s.flows))
+				s.ready <- struct{}{}
+			}
+		}()
 	}
-	res := e.results[:len(jobs)]
-	synth := func(i int) { res[i] = e.model.synthesize(jobs[i], release(res[i])) }
-	if p := e.cfg.Parallelism; p > 1 && len(jobs) >= 2*p {
-		var wg sync.WaitGroup
-		for w := 0; w < p; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(jobs); i += p {
-					synth(i)
-				}
-			}(w)
-		}
-		wg.Wait()
-	} else {
-		for i := range jobs {
-			synth(i)
-		}
-	}
-	e.batch = e.batch[:0]
+	sent, first := 0, 0 // jobs handed out; the open group's first job
 	for i := range jobs {
-		for _, f := range res[i] {
+		for ; sent < min(first+ringSlots, len(jobs)); sent++ {
+			work <- sent
+		}
+		s := &e.ring[i%ringSlots]
+		<-s.ready
+		for _, f := range s.flows {
 			f.ID = capture.NextFlowID()
 			if !e.idSet {
 				e.idBase, e.idSet = f.ID-1, true
 			}
 			e.batch = append(e.batch, f)
 		}
+		if len(e.batch) >= groupFlows || i+1-first == ringSlots || i+1 == len(jobs) {
+			e.cfg.DB.CommitAll(e.batch)
+			e.stats.FlowsCommitted += int64(len(e.batch))
+			e.batch = e.batch[:0]
+			first = i + 1
+		}
 	}
-	e.cfg.DB.CommitAll(e.batch)
-	e.stats.FlowsCommitted += int64(len(e.batch))
-}
-
-// releaseFrom releases the flows held by job slots from on.
-func (e *Engine) releaseFrom(from int) {
-	for i := from; i < len(e.results); i++ {
-		e.results[i] = release(e.results[i])
-	}
+	close(work)
+	wg.Wait()
 }
 
 // release drops the engine's reference on each flow of a job slot and

@@ -202,6 +202,121 @@ func TestPopulationDeterminism(t *testing.T) {
 	if laned.fingerprint(t) != serial.fingerprint(t) {
 		t.Error("batch fold in lanes diverged from the per-flow fold")
 	}
+
+	// A tick's jobs commit in groups of at least one chunk, cut at job
+	// boundaries, while the workers synthesize the next group. This run
+	// holds ticks below one chunk, a tick whose last job closes a full
+	// group, and ticks of many groups. Flow IDs must run contiguous in
+	// commit order, and neither the groups nor the analyses may depend
+	// on synthesis parallelism or on the fold.
+	t.Run("group boundaries", func(t *testing.T) {
+		grouped := func(p int) func(*Config) {
+			return func(c *Config) {
+				c.Population = 400
+				c.Duration = 2 * time.Second
+				c.RampUp = 500 * time.Millisecond
+				c.AdmitPerSec = 10_000
+				c.Seed = 31
+				c.Parallelism = p
+			}
+		}
+		var want string
+		var wantGroups []commitGroup
+		for _, p := range []int{1, 2, 8} {
+			h := newPopHarness(t, grouped(p))
+			g := &groupTap{Pipeline: h.pl}
+			h.db.SetTap(g)
+			if err := h.engine.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if g.first-h.engine.FlowIDBase() != 1 || g.gaps != 0 ||
+				g.last-h.engine.FlowIDBase() != h.engine.Stats().FlowsCommitted {
+				t.Fatalf("parallelism=%d: run-relative IDs %d..%d with %d gaps over %d committed flows",
+					p, g.first-h.engine.FlowIDBase(), g.last-h.engine.FlowIDBase(), g.gaps,
+					h.engine.Stats().FlowsCommitted)
+			}
+			if p == 1 {
+				want, wantGroups = h.fingerprint(t), g.groups
+				checkGroupCoverage(t, g.groups)
+				continue
+			}
+			if fmt.Sprint(g.groups) != fmt.Sprint(wantGroups) {
+				t.Errorf("parallelism=%d cut different commit groups than parallelism=1", p)
+			}
+			if h.fingerprint(t) != want {
+				t.Errorf("parallelism=%d diverged from parallelism=1", p)
+			}
+		}
+		serial := newPopHarness(t, grouped(2))
+		serial.db.SetTap(flowByFlow{serial.pl})
+		if err := serial.engine.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if serial.fingerprint(t) != want {
+			t.Error("group commits diverged from the per-flow fold")
+		}
+	})
+}
+
+// commitGroup is one committed batch: its length and its tick (every
+// flow of a visit carries the tick's instant).
+type commitGroup struct {
+	n    int
+	tick time.Time
+}
+
+// groupTap is the pipeline as a commit tap, noting every batch and
+// checking that flow IDs arrive contiguous.
+type groupTap struct {
+	*pipeline.Pipeline
+	groups      []commitGroup
+	first, last int64
+	gaps        int
+}
+
+func (g *groupTap) ObserveAll(fs []*capture.Flow) {
+	g.groups = append(g.groups, commitGroup{len(fs), fs[0].Time})
+	for _, f := range fs {
+		if g.first == 0 {
+			g.first = f.ID
+		} else if f.ID != g.last+1 {
+			g.gaps++
+		}
+		g.last = f.ID
+	}
+	g.Pipeline.ObserveAll(fs)
+}
+
+// checkGroupCoverage asserts the cut rule (every group but a tick's
+// last holds at least groupFlows flows) and that the run covers ticks
+// below one chunk, a tick ending on a group boundary, and a tick of
+// several groups.
+func checkGroupCoverage(t *testing.T, groups []commitGroup) {
+	t.Helper()
+	small, boundary, most := 0, 0, 0
+	for i := 0; i < len(groups); {
+		j := i + 1
+		for j < len(groups) && groups[j].tick.Equal(groups[i].tick) {
+			j++
+		}
+		for _, g := range groups[i : j-1] {
+			if g.n < groupFlows {
+				t.Errorf("tick %v: a group of %d flows is not the tick's last", g.tick, g.n)
+			}
+		}
+		switch last := groups[j-1].n; {
+		case j-i == 1 && last < groupFlows:
+			small++
+		case last >= groupFlows:
+			boundary++
+		}
+		most = max(most, j-i)
+		i = j
+	}
+	if small == 0 || boundary == 0 || most < 4 {
+		t.Fatalf("run covers %d ticks below one chunk, %d ending on a group boundary, at most %d groups in a tick; want >0, >0, >=4",
+			small, boundary, most)
+	}
 }
 
 // batchSizes is the pipeline as a commit tap, noting the longest batch.
@@ -231,7 +346,9 @@ func (t *refTap) Seal(int64)    {}
 
 // TestRunUntilHoldsNoFlows: once RunUntil returns the engine holds no
 // reference on any flow it committed, so when the last other holder
-// lets go every record is recycled (resetForReuse zeroes it).
+// lets go every record is recycled (resetForReuse zeroes it). The
+// dense case's first tick holds many commit groups, so the job-slot
+// ring wraps inside the tick, and the ring keeps its length.
 func TestRunUntilHoldsNoFlows(t *testing.T) {
 	h := newPopHarness(t, func(c *Config) {
 		c.Population = 200
@@ -240,22 +357,51 @@ func TestRunUntilHoldsNoFlows(t *testing.T) {
 		c.Parallelism = 2
 	})
 	for _, until := range []time.Duration{10 * time.Second, 20 * time.Second} {
-		tap := &refTap{}
-		h.db.SetTap(capture.Taps{h.pl, tap})
-		if err := h.engine.RunUntil(until); err != nil {
-			t.Fatal(err)
-		}
-		if len(tap.flows) == 0 {
-			t.Fatalf("RunUntil(%v) committed no flows", until)
-		}
-		for _, f := range tap.flows {
-			f.Release()
-		}
-		for i, f := range tap.flows {
-			if f.ID != 0 || f.Host != "" || f.Browser != "" {
-				t.Fatalf("RunUntil(%v): flow %d of %d (id %d) still referenced after the tap released it",
-					until, i, len(tap.flows), f.ID)
-			}
+		runPinned(t, h, until)
+	}
+
+	// Nearly all 800 users arrive inside the first tick, which then
+	// holds more than ten times as many jobs as the ring has slots.
+	dense := newPopHarness(t, func(c *Config) {
+		c.Population = 800
+		c.Duration = time.Second
+		c.RampUp = tickDur
+		c.AdmitPerSec = 10_000
+		c.Parallelism = 2
+	})
+	runPinned(t, dense, tickDur)
+	if n := len(dense.engine.jobs); n < 10*ringSlots {
+		t.Fatalf("dense first tick holds %d jobs, want at least %d", n, 10*ringSlots)
+	}
+	if n := len(dense.engine.ring); n != ringSlots {
+		t.Errorf("job ring has %d slots after a tick of %d jobs, want %d", n, len(dense.engine.jobs), ringSlots)
+	}
+	runPinned(t, dense, time.Second)
+	if n := len(dense.engine.ring); n != ringSlots {
+		t.Errorf("job ring has %d slots, want %d", n, ringSlots)
+	}
+}
+
+// runPinned runs the engine to until with a tap that pins every
+// committed flow, releases the pins, and requires every flow to have
+// been recycled.
+func runPinned(t *testing.T, h *popHarness, until time.Duration) {
+	t.Helper()
+	tap := &refTap{}
+	h.db.SetTap(capture.Taps{h.pl, tap})
+	if err := h.engine.RunUntil(until); err != nil {
+		t.Fatal(err)
+	}
+	if len(tap.flows) == 0 {
+		t.Fatalf("RunUntil(%v) committed no flows", until)
+	}
+	for _, f := range tap.flows {
+		f.Release()
+	}
+	for i, f := range tap.flows {
+		if f.ID != 0 || f.Host != "" || f.Browser != "" {
+			t.Fatalf("RunUntil(%v): flow %d of %d (id %d) still referenced after the tap released it",
+				until, i, len(tap.flows), f.ID)
 		}
 	}
 }

@@ -79,14 +79,20 @@ echo "==> fault-seed chaos smoke (10% fault rate campaign under -race, all trans
 go test -race -p 1 -count=1 -run 'TestChaosCampaign|TestFaultCampaignDeterminism|TestDataPlaneDeterminism|TestFabricDeterminism' \
     ./internal/core/ ./internal/faultsim/ ./internal/fabric/
 
-echo "==> population engine gate (determinism keystone + 10k-user bounded-residency smoke under -race, 1 and 4 lanes)"
+echo "==> population engine gate (determinism keystone + group boundaries + flow recycling + 10k-user bounded-residency smoke under -race, 1 and 4 lanes)"
 # The population keystone pins the analyses byte-identical across
 # synthesis parallelism 1/8, pause/resume, and a dense run folded in
-# pipeline lanes versus flow by flow; the bounded-residency smoke runs
-# 10k users under retain=none and requires zero resident flows and
-# head-sampling under its cap. -cpu 1,4 runs both with one pipeline
-# lane and with several.
-go test -race -count=1 -cpu 1,4 -run 'TestPopulationDeterminism|TestPopulationBoundedResidency' \
+# pipeline lanes versus flow by flow; its group-boundary case pins the
+# commit groups and contiguous flow IDs at parallelism 1/2/8. Under
+# -race the synthesis workers build the next commit group while the
+# lanes fold the current one. TestRunUntilHoldsNoFlows requires every
+# committed flow to be recycled after RunUntil, also when the job-slot
+# ring wraps inside a tick. The bounded-residency smoke runs 10k users
+# under retain=none and requires zero resident flows and head-sampling
+# under its cap. -cpu 1,4 runs each with one pipeline lane and with
+# several.
+go test -race -count=1 -cpu 1,4 \
+    -run 'TestPopulationDeterminism|TestPopulationBoundedResidency|TestRunUntilHoldsNoFlows' \
     ./internal/popsim/
 
 # The benchmark smokes below only check that every benchmark still runs;
@@ -114,7 +120,7 @@ echo "==> benchmark smoke: sink throughput (flows/sec into a slow sink, queue bo
 go test -run '^$' -bench SinkThroughput -benchmem -benchtime=1x ./internal/sink/
 
 echo "==> benchmark smoke: population scaling (sessions/sec + peak RSS at 10k/100k/1M users)"
-# The 1M point is the long pole (a few minutes of one-core wall time).
+# The 1M point is the long pole (a few minutes of wall time).
 go test -run '^$' -bench PopulationScaling -benchtime=1x -timeout 30m ./internal/popsim/
 
 echo "==> ci.sh: all checks passed"
