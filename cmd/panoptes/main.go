@@ -43,7 +43,7 @@ func main() {
 		sites     = flag.Int("sites", 200, "crawl-list size (paper: 1000; half Tranco, half sensitive)")
 		browsers  = flag.String("browsers", "", "comma-separated browser names (default: all 15)")
 		incognito = flag.Bool("incognito", false, "crawl in incognito mode")
-		parallel  = flag.Int("parallel", 0, "browsers crawled concurrently, or with -population the flow-synthesis workers (0 = GOMAXPROCS, 1 = sequential)")
+		parallel  = flag.Int("parallel", 0, "browsers crawled concurrently, or with -population the goroutines that synthesize and commit visits (0 = GOMAXPROCS, 1 = sequential)")
 		idleDur   = flag.Duration("idle", 10*time.Minute, "idle-experiment duration (virtual time)")
 		outDir    = flag.String("out", "", "directory for JSONL flow databases and CSV outputs")
 		harOut    = flag.Bool("har", false, "with -out: also export HAR 1.2 archives")

@@ -228,8 +228,8 @@ type TrackableID struct {
 	Browser string
 	Host    string
 	Param   string
-	// Values observed; a single stable value across many visits is the
-	// tracking signal, multiple values indicate rotation.
+	// Values observed, sorted; a single stable value across many
+	// visits is the tracking signal, multiple values indicate rotation.
 	Values []string
 	// Sightings counts the flows carrying the parameter.
 	Sightings int

@@ -338,7 +338,9 @@ func (a *TrackableAnalyzer) Reset() {
 }
 
 // IDs reports the mined identifiers, most-persistent first (fewest
-// distinct values over most sightings).
+// distinct values over most sightings), each with its values sorted:
+// the order they were first seen in depends on how concurrent commits
+// interleaved.
 func (a *TrackableAnalyzer) IDs() []TrackableID {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -346,9 +348,11 @@ func (a *TrackableAnalyzer) IDs() []TrackableID {
 	for browser, byKey := range a.values {
 		for key, vals := range byKey {
 			i := strings.IndexByte(key, '?')
+			sorted := slices.Clone(vals)
+			slices.Sort(sorted)
 			out = append(out, TrackableID{
 				Browser: browser, Host: key[:i], Param: key[i+1:],
-				Values:    append([]string(nil), vals...),
+				Values:    sorted,
 				Sightings: a.sightings[browser][key],
 			})
 		}

@@ -38,14 +38,15 @@ func TestTrackableTieBreakComparesFields(t *testing.T) {
 }
 
 // TestTrackableValuesAndSightings folds a rotated identifier: values
-// keep first-seen order per browser, host and parameter, every flow
+// are kept per browser, host and parameter and reported sorted (the
+// rotated-in id2 is fed first), every flow
 // carrying a known value is a sighting, and short or non-hex values are
 // not identifiers.
 func TestTrackableValuesAndSightings(t *testing.T) {
 	id1 := "a1b2c3d4e5f60718293a4b5c6d7e8f90a1b2c3d4e5f60718293a4b5c6d7e8f90"
 	id2 := "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"
 	a := analysis.NewTrackableAnalyzer()
-	for _, q := range []string{"uuid=" + id1, "uuid=" + id1, "uuid=" + id2, "uuid=short&clientid=not-hex-at-all!!"} {
+	for _, q := range []string{"uuid=" + id2, "uuid=" + id1, "uuid=" + id1, "uuid=short&clientid=not-hex-at-all!!"} {
 		a.Observe(&capture.Flow{Browser: "Yandex", Host: "api.browser.yandex.ru", Origin: capture.OriginNative,
 			RawQuery: "host=x.example&" + q})
 	}

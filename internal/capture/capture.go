@@ -44,6 +44,11 @@ func init() {
 // in one call by implementing ObserveAll(fs []*Flow), which must act as
 // Observe on each flow of fs in order; any other tap gets the batch as
 // one Observe per flow.
+//
+// Batches may arrive concurrently: goroutines that commit at the same
+// time (a crawl's parallel attempt seals, the population engine's
+// per-visit commits) call the tap at once, and their flows interleave.
+// Within one batch the flows keep their slice order.
 type Tap interface {
 	Observe(f *Flow)
 	Retract(attempt int64)
@@ -51,7 +56,7 @@ type Tap interface {
 }
 
 // batchTap is the optional batch form of Tap.Observe. The analysis
-// pipeline implements it to fold long batches in parallel.
+// pipeline implements it to fold a batch analyzer by analyzer.
 type batchTap interface {
 	ObserveAll(fs []*Flow)
 }
@@ -280,6 +285,10 @@ var flowIDs atomic.Int64
 // NextFlowID allocates a process-unique flow ID.
 func NextFlowID() int64 { return flowIDs.Add(1) }
 
+// ReserveFlowIDs allocates n contiguous process-unique flow IDs and
+// returns the first; the caller stamps first .. first+n-1 itself.
+func ReserveFlowIDs(n int) int64 { return flowIDs.Add(int64(n)) - int64(n) + 1 }
+
 // EnsureFlowIDsAbove fast-forwards the flow ID allocator past n, so a
 // resumed campaign never re-issues an ID a checkpointed flow already
 // carries (the export plane dedupes across the resume boundary by ID).
@@ -314,23 +323,68 @@ func (s *Store) stamp(f *Flow) {
 	if s.origin != "" {
 		f.Origin = s.origin
 	}
-	s.seen.Add(1)
+	s.count(1)
+}
+
+// count adds n arriving flows to the store's totals.
+func (s *Store) count(n int) {
+	s.seen.Add(int64(n))
 	if s.added != nil {
-		s.added.Inc()
+		s.added.Add(int64(n))
 	}
 }
 
 // file retains a committed flow or, with retention off, spills it.
 func (s *Store) file(f *Flow) {
+	one := [1]*Flow{f}
+	s.fileAll(one[:])
+}
+
+// owns reports whether a committed flow belongs in this store: a DB's
+// stores hold the flows stamped with their origin, an anonymous store
+// every flow it is given.
+func (s *Store) owns(f *Flow) bool { return s.origin == "" || f.Origin == s.origin }
+
+// fileAll retains the flows of a committed batch that belong in this
+// store or, with retention off, spills them to the spill sink, if set,
+// in slice order. The lock, the spill lock and the counters are taken
+// once per batch. The first encode error is kept for SpillErr.
+func (s *Store) fileAll(fs []*Flow) {
+	n, bytes := 0, 0
 	if s.noRetain.Load() {
-		s.spillOut(f)
+		s.spillMu.Lock()
+		for _, f := range fs {
+			if !s.owns(f) {
+				continue
+			}
+			n++
+			if s.spill == nil {
+				continue
+			}
+			if err := s.spill.Encode(f); err != nil && s.spillErr == nil {
+				s.spillErr = fmt.Errorf("capture: spill flow %d: %w", f.ID, err)
+			}
+		}
+		s.spillMu.Unlock()
+		if s.spilled != nil {
+			s.spilled.Add(int64(n))
+		}
 		return
 	}
-	f.Ref() // the store's reference, dropped by Reset
 	s.mu.Lock()
-	s.flows = append(s.flows, f)
+	for _, f := range fs {
+		if s.owns(f) {
+			f.Ref() // the store's reference, dropped by Reset
+			s.flows = append(s.flows, f)
+			n++
+			bytes += f.ReqBytes
+		}
+	}
 	s.mu.Unlock()
-	s.resize(f, 1)
+	if s.added != nil {
+		s.sizeFlows.Add(float64(n))
+		s.sizeBytes.Add(float64(bytes))
+	}
 }
 
 // observe feeds one filed flow to the commit tap.
@@ -352,21 +406,6 @@ func (s *Store) resize(f *Flow, delta float64) {
 	if s.added != nil {
 		s.sizeFlows.Add(delta)
 		s.sizeBytes.Add(delta * float64(f.ReqBytes))
-	}
-}
-
-// spillOut writes one committed flow to the spill sink, if set. The
-// first encode error is kept for SpillErr.
-func (s *Store) spillOut(f *Flow) {
-	s.spillMu.Lock()
-	if s.spill != nil {
-		if err := s.spill.Encode(f); err != nil && s.spillErr == nil {
-			s.spillErr = fmt.Errorf("capture: spill flow %d: %w", f.ID, err)
-		}
-	}
-	s.spillMu.Unlock()
-	if s.spilled != nil {
-		s.spilled.Inc()
 	}
 }
 
@@ -602,20 +641,27 @@ func (db *DB) FullyRetained() bool {
 // CommitAll commits a batch of untagged flows (Attempt 0) in slice
 // order: each is stamped and filed (or spilled) in its origin's store,
 // then the tap takes the whole batch. It is Add for every flow, with
-// one tap call instead of len(fs); tagged flows must go through Add.
+// one tap call instead of len(fs) and each store's counters moved once;
+// tagged flows must go through Add.
 func (db *DB) CommitAll(fs []*Flow) {
+	engine := 0
 	for _, f := range fs {
-		db.StoreFor(f.Origin).stamp(f)
+		s := db.StoreFor(f.Origin)
+		f.Origin = s.origin
+		if s == db.Engine {
+			engine++
+		}
 	}
+	db.Engine.count(engine)
+	db.Native.count(len(fs) - engine)
 	db.commit(fs)
 }
 
 // commit files each flow in its origin's store, then hands the batch
 // to the tap. Both batch commits, CommitAll and SealAttempt, end here.
 func (db *DB) commit(fs []*Flow) {
-	for _, f := range fs {
-		db.StoreFor(f.Origin).file(f)
-	}
+	db.Engine.fileAll(fs)
+	db.Native.fileAll(fs)
 	if db.tap != nil {
 		observeAll(db.tap, fs)
 	}

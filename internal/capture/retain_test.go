@@ -2,8 +2,11 @@ package capture
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
+
+	"panoptes/internal/obs"
 )
 
 // recordingTap logs tap callbacks for assertions.
@@ -127,5 +130,67 @@ func TestRetentionNativeKeepsNativeOnly(t *testing.T) {
 	}
 	if err := db.SetRetention("bogus"); err == nil {
 		t.Fatal("bogus retention mode accepted")
+	}
+}
+
+// TestCommitAllBatch: a batch of mixed origins is counted, filed or
+// spilled per store in slice order, and reaches the tap whole; the
+// obs counters are process-global, so the test reads deltas.
+func TestCommitAllBatch(t *testing.T) {
+	db := NewDB()
+	if err := db.SetRetention(RetainNative); err != nil {
+		t.Fatal(err)
+	}
+	var spill bytes.Buffer
+	db.Engine.SetSpill(&spill)
+	tap := &recordingTap{}
+	db.SetTap(tap)
+	total := func(name, db string) int64 { return obs.Default.Counter(name, "db", db).Value() }
+	flows0, spilled0 := total("capture_flows_total", "engine"), total("capture_spilled_total", "engine")
+	nflows0 := total("capture_flows_total", "native")
+
+	first := ReserveFlowIDs(5)
+	if next := NextFlowID(); next != first+5 {
+		t.Fatalf("NextFlowID after reserving %d..%d = %d", first, first+4, next)
+	}
+	origins := []Origin{OriginEngine, OriginNative, OriginEngine, "", OriginEngine}
+	batch := make([]*Flow, len(origins))
+	for i, o := range origins {
+		batch[i] = &Flow{ID: first + int64(i), Origin: o, ReqBytes: 10}
+	}
+	db.CommitAll(batch)
+
+	if got := total("capture_flows_total", "engine") - flows0; got != 3 {
+		t.Errorf("engine capture_flows_total delta %d, want 3", got)
+	}
+	if got := total("capture_spilled_total", "engine") - spilled0; got != 3 {
+		t.Errorf("engine capture_spilled_total delta %d, want 3", got)
+	}
+	if got := total("capture_flows_total", "native") - nflows0; got != 2 {
+		t.Errorf("native capture_flows_total delta %d, want 2", got)
+	}
+	if db.Engine.Seen() != 3 || db.Native.Seen() != 2 || db.Engine.Len() != 0 || db.Native.Len() != 2 {
+		t.Errorf("engine seen/len %d/%d, native %d/%d; want 3/0, 2/2",
+			db.Engine.Seen(), db.Engine.Len(), db.Native.Seen(), db.Native.Len())
+	}
+	if batch[3].Origin != OriginNative {
+		t.Errorf("unstamped flow filed as %q, want native", batch[3].Origin)
+	}
+	back := NewStore()
+	if err := back.ReadJSONL(&spill); err != nil {
+		t.Fatal(err)
+	}
+	var spilled []int64
+	for _, f := range back.All() {
+		spilled = append(spilled, f.ID)
+	}
+	if want := []int64{first, first + 2, first + 4}; fmt.Sprint(spilled) != fmt.Sprint(want) {
+		t.Errorf("spilled IDs %v, want %v", spilled, want)
+	}
+	if want := []int64{first + 1, first + 3}; db.Native.All()[0].ID != want[0] || db.Native.All()[1].ID != want[1] {
+		t.Errorf("native store holds %v, want %v", db.Native.All(), want)
+	}
+	if len(tap.observed) != len(batch) || tap.observed[0] != first || tap.observed[4] != first+4 {
+		t.Errorf("tap observed %v, want the batch in slice order", tap.observed)
 	}
 }

@@ -22,8 +22,9 @@ type PopulationConfig struct {
 	Seed       int64
 
 	// AdmitPerSec / AdmitBurst tune session admission (0 = popsim
-	// defaults). Parallelism fans out flow synthesis; results are
-	// identical at any setting.
+	// defaults). Parallelism is the number of goroutines that
+	// synthesize and commit visits; results are identical at any
+	// setting.
 	AdmitPerSec float64
 	AdmitBurst  int
 	Parallelism int

@@ -97,12 +97,12 @@ func suitePipeline(prefix string) (*pipeline.Pipeline, []string) {
 	return p, p.Names()
 }
 
-// TestObserveAllMatchesObserve: a batch folded in lanes leaves every
-// analyzer exactly where per-flow Observe calls leave it — the same
-// observation order, byte-identical results — at one lane and at
+// TestObserveAllMatchesObserve: a batch folded analyzer by analyzer
+// leaves every analyzer exactly where per-flow Observe calls leave it —
+// the same observation order, byte-identical results — at one P and at
 // several, and pipeline_observed_total advances by exactly the batch.
 func TestObserveAllMatchesObserve(t *testing.T) {
-	flows := flowMix(t, 3*pipeline.Chunk+517)
+	flows := flowMix(t, 3*1024+517)
 	ref, _ := suitePipeline("")
 	for _, f := range flows {
 		ref.Observe(f)
@@ -143,8 +143,9 @@ func TestObserveAllMatchesObserve(t *testing.T) {
 	}
 }
 
-// TestObserveAllShortBatchFoldsLikeObserve: below one chunk the batch
-// path is the per-flow fold, sampled timing included.
+// TestObserveAllShortBatchFoldsLikeObserve: a batch is timed like the
+// per-flow fold, the first flow and every 64th after it, and each
+// analyzer sees it in slice order.
 func TestObserveAllShortBatchFoldsLikeObserve(t *testing.T) {
 	const name = "short-batch"
 	h := obs.Default.Histogram("pipeline_observe_seconds", obs.ExponentialBuckets(1e-6, 4, 10), "analyzer", name)
@@ -152,12 +153,104 @@ func TestObserveAllShortBatchFoldsLikeObserve(t *testing.T) {
 	p := pipeline.New()
 	a := &orderAnalyzer{}
 	p.Register(name, a)
-	flows := flowMix(t, pipeline.Chunk-1)
+	flows := flowMix(t, 1023)
 	p.ObserveAll(flows)
 	if got, want := h.Count()-timed0, int64((len(flows)+63)/64); got != want {
 		t.Errorf("timed %d flows, want %d (the first and every 64th)", got, want)
 	}
 	if len(a.ids) != len(flows) || a.ids[0] != flows[0].ID || a.ids[len(flows)-1] != flows[len(flows)-1].ID {
 		t.Errorf("short batch observed %d flows out of order", len(a.ids))
+	}
+}
+
+// TestObserveAllConcurrent: batches committed from eight goroutines at
+// once leave the suite where one goroutine's per-flow Observe calls
+// leave it, byte for byte. Every analyzer sees every flow exactly once,
+// each batch in slice order; pipeline_observed_total is exact and the
+// sampled timing still times one flow in 64.
+func TestObserveAllConcurrent(t *testing.T) {
+	const workers, batch = 8, 37
+	flows := flowMix(t, 64*batch+11)
+	ref := pipeline.New()
+	analysis.NewSuite(hostlist.Bundled(), mixBrowsers).Register(ref)
+	for _, f := range flows {
+		ref.Observe(f)
+	}
+	want, err := json.Marshal(ref.Results())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	p := pipeline.New()
+	analysis.NewSuite(hostlist.Bundled(), mixBrowsers).Register(p)
+	const name = "concurrent-order"
+	order := &orderAnalyzer{}
+	p.Register(name, order)
+	names := p.Names()
+	before := map[string]int64{}
+	for _, n := range names {
+		before[n] = obs.Default.Counter("pipeline_observed_total", "analyzer", n).Value()
+	}
+	h := obs.Default.Histogram("pipeline_observe_seconds", obs.ExponentialBuckets(1e-6, 4, 10), "analyzer", name)
+	timed0 := h.Count()
+
+	var batches [][]*capture.Flow
+	for i := 0; i < len(flows); i += batch {
+		batches = append(batches, flows[i:min(i+batch, len(flows))])
+	}
+	var next sync.Mutex
+	k := 0
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				next.Lock()
+				i := k
+				k++
+				next.Unlock()
+				if i >= len(batches) {
+					return
+				}
+				p.ObserveAll(batches[i])
+			}
+		}()
+	}
+	wg.Wait()
+
+	for _, n := range names {
+		if got := obs.Default.Counter("pipeline_observed_total", "analyzer", n).Value() - before[n]; got != int64(len(flows)) {
+			t.Errorf("%s: observed_total delta %d, want %d", n, got, len(flows))
+		}
+	}
+	if got, want := h.Count()-timed0, int64((len(flows)+63)/64); got != want {
+		t.Errorf("timed %d flows, want %d (one in 64)", got, want)
+	}
+	res := p.Results()
+	pos := map[int64]int{}
+	for i, id := range res[name].([]int64) {
+		if _, dup := pos[id]; dup {
+			t.Fatalf("flow %d observed twice", id)
+		}
+		pos[id] = i
+	}
+	if len(pos) != len(flows) {
+		t.Fatalf("observed %d distinct flows, want %d", len(pos), len(flows))
+	}
+	for _, b := range batches {
+		for i := 1; i < len(b); i++ {
+			if pos[b[i].ID] < pos[b[i-1].ID] {
+				t.Fatalf("flow %d observed before %d of the same batch", b[i].ID, b[i-1].ID)
+			}
+		}
+	}
+	delete(res, name)
+	got, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("concurrent ObserveAll diverged from serial Observe:\n got %s\nwant %s", got, want)
 	}
 }

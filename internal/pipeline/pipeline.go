@@ -10,18 +10,17 @@
 // analysis.Suite.Replay of the stored databases.
 //
 // Flows arrive one at a time (Observe) or as a committed batch
-// (ObserveAll). Both run the same fold on the calling goroutine, flow
-// by flow, unless the batch holds at least one chunk of flows. A long
-// batch is folded chunk by chunk, and each chunk is split by analyzer
-// across GOMAXPROCS lanes, the caller's included: a lane folds the
-// whole chunk into one analyzer before it takes the next, longest
-// analyzer first. Every analyzer therefore sees the flows in commit
-// order, and the results do not depend on GOMAXPROCS.
+// (ObserveAll); a single flow is a batch of one. The caller folds the
+// batch analyzer by analyzer: each analyzer takes the whole batch, in
+// slice order, before the next analyzer starts, so it sees a batch's
+// flows in commit order. Batches may arrive concurrently from several
+// committing goroutines (a crawl's parallel attempt seals, the
+// population engine's per-visit commits) and interleave at each
+// analyzer, so an analyzer's result must not depend on the order of
+// its flows. The pipeline starts no goroutine of its own.
 package pipeline
 
 import (
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,9 +31,10 @@ import (
 
 // Analyzer is an incremental analysis folded over the committed flow
 // stream. Observe is called once per committed flow, from the
-// committing goroutine (so it must be safe for concurrent use).
-// Finalize returns the analysis result; it must be a pure function of
-// the multiset of observed flows.
+// committing goroutine; several committing goroutines may call it at
+// once, so it must be safe for concurrent use. Finalize returns the
+// analysis result; it must be a pure function of the multiset of
+// observed flows.
 type Analyzer interface {
 	Observe(f *capture.Flow)
 	Finalize() any
@@ -55,7 +55,7 @@ type Resetter interface {
 
 func init() {
 	obs.Default.Help("pipeline_observed_total", "Flows observed by each streaming analyzer.")
-	obs.Default.Help("pipeline_observe_seconds", "Per-flow observe latency of each streaming analyzer, sampled: the first flow and every 64th after it, or the per-flow mean of each chunk a long batch is folded in.")
+	obs.Default.Help("pipeline_observe_seconds", "Per-flow observe latency of each streaming analyzer, sampled: the first flow and every 64th after it.")
 	obs.Default.Help("pipeline_retractions_total", "Attempts quarantined while each streaming analyzer was registered (their flows never reached it).")
 	obs.Default.Help("pipeline_analyzers", "Analyzers currently registered on the streaming pipeline.")
 }
@@ -69,12 +69,6 @@ var observeBuckets = obs.ExponentialBuckets(1e-6, 4, 10)
 // plus a histogram observe per analyzer cost more than most analyzers'
 // folds. Counters stay exact; only pipeline_observe_seconds is sampled.
 const timeEvery = 64
-
-// chunk is the batch fold's unit. A batch shorter than one chunk folds
-// flow by flow on the calling goroutine; a longer one is folded a
-// chunk at a time in parallel lanes, with one clock pair per analyzer
-// per chunk. A chunk's flows stay cache-warm while the lanes sweep it.
-const chunk = 1024
 
 type entry struct {
 	name      string
@@ -129,97 +123,44 @@ func (p *Pipeline) Unregister(name string) {
 }
 
 // Observe feeds one committed flow to every analyzer in registration
-// order. Called by the capture store from the committing goroutine.
+// order: a batch of one.
 func (p *Pipeline) Observe(f *capture.Flow) {
 	one := [1]*capture.Flow{f}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	p.fold(one[:])
+	p.ObserveAll(one[:])
 }
 
-// ObserveAll feeds a committed batch to every analyzer, each seeing the
-// flows in slice order. A batch shorter than one chunk folds exactly as
-// len(fs) Observe calls; a longer one is folded chunk by chunk in
-// GOMAXPROCS lanes (see lanes). Called by the capture DB from the
-// committing goroutine.
+// ObserveAll folds a committed batch on the calling goroutine, analyzer
+// by analyzer in registration order, each taking the flows in slice
+// order. The batch draws len(fs) numbers from the pipeline's flow
+// sequence at once; a flow whose number is 1 mod timeEvery is timed
+// at every analyzer, and each analyzer's observed counter moves once
+// per batch. Safe for concurrent batches.
 func (p *Pipeline) ObserveAll(fs []*capture.Flow) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if len(fs) < chunk {
-		p.fold(fs)
+	if len(fs) == 0 {
 		return
 	}
-	order := p.longestFirst()
-	for len(fs) > 0 {
-		n := min(chunk, len(fs))
-		lanes(order, fs[:n])
-		fs = fs[n:]
-	}
-}
-
-// fold hands each flow to every analyzer in registration order on the
-// calling goroutine. The first flow and every timeEvery-th after it
-// are timed.
-func (p *Pipeline) fold(fs []*capture.Flow) {
-	for _, f := range fs {
-		if p.seq.Add(1)%timeEvery != 1 {
-			for _, e := range p.entries {
+	// Flow j of the batch has sequence number base+1+j, so the timed
+	// flows are j = -base mod timeEvery, then every timeEvery-th.
+	base := p.seq.Add(uint64(len(fs))) - uint64(len(fs))
+	first := int((timeEvery - base%timeEvery) % timeEvery)
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	for _, e := range p.entries {
+		j := 0
+		for t := first; t < len(fs); t += timeEvery {
+			for _, f := range fs[j:t] {
 				e.a.Observe(f)
-				e.observed.Inc()
 			}
-			continue
-		}
-		for _, e := range p.entries {
 			start := time.Now()
-			e.a.Observe(f)
+			e.a.Observe(fs[t])
 			e.latency.Observe(time.Since(start).Seconds())
-			e.observed.Inc()
+			j = t + 1
 		}
-	}
-}
-
-// longestFirst orders the analyzers by their mean observed latency,
-// longest first (ties keep registration order), so the lanes start on
-// the analyzers that would otherwise finish a chunk last.
-func (p *Pipeline) longestFirst() []*entry {
-	order := append([]*entry(nil), p.entries...)
-	mean := make(map[*entry]float64, len(order))
-	for _, e := range order {
-		if n := e.latency.Count(); n > 0 {
-			mean[e] = e.latency.Sum() / float64(n)
+		for _, f := range fs[j:] {
+			e.a.Observe(f)
 		}
+		e.observed.Add(int64(len(fs)))
 	}
-	sort.SliceStable(order, func(i, j int) bool { return mean[order[i]] > mean[order[j]] })
-	return order
-}
-
-// lanes folds one chunk into every analyzer of order, on GOMAXPROCS
-// goroutines including the caller. Each lane takes the next analyzer
-// in order and folds the whole chunk into it, timed by one clock pair,
-// so an analyzer sees the chunk in order and on one goroutine.
-func lanes(order []*entry, c []*capture.Flow) {
-	var next atomic.Int64
-	lane := func() {
-		for i := next.Add(1) - 1; i < int64(len(order)); i = next.Add(1) - 1 {
-			e := order[i]
-			start := time.Now()
-			for _, f := range c {
-				e.a.Observe(f)
-			}
-			e.latency.Observe(time.Since(start).Seconds() / float64(len(c)))
-			e.observed.Add(int64(len(c)))
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(runtime.GOMAXPROCS(0), len(order)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lane()
-		}()
-	}
-	lane()
-	wg.Wait()
 }
 
 // Retract counts a quarantined attempt against every analyzer. There

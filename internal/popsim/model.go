@@ -1,6 +1,7 @@
 package popsim
 
 import (
+	"encoding/base64"
 	"fmt"
 	"math"
 	"net/url"
@@ -41,12 +42,17 @@ type resSynth struct {
 	adRelated  bool
 }
 
-// siteSynth is one site's precomputed synthesis state.
+// siteSynth is one site's precomputed synthesis state. urlB64 and
+// urlEsc are the {URL_B64} and {URL_ESC} template values; adRes counts
+// the ad-related resources an ad-blocking engine skips.
 type siteSynth struct {
 	domain  string
 	url     string
+	urlB64  string
+	urlEsc  string
 	docSize int
 	res     []resSynth
+	adRes   int
 }
 
 // profileSynth is one browser profile's precomputed synthesis state.
@@ -60,12 +66,20 @@ type profileSynth struct {
 	dohHost  string // resolver host, "" when the profile resolves locally
 	dohQname string // expanded DoHPIIQname ("" = none)
 	noisePad string
+	// onVisit holds p.OnVisit's query and body templates, compiled.
+	onVisit []nativeSynth
+	// nativeFlows is the number of native flows every visit renders
+	// (the sampled-only DoH PII query aside).
+	nativeFlows int
 	// uuids is the bounded pool of persistent identifiers users of this
 	// browser draw from. A pool (rather than one UUID per user) keeps
 	// the trackable-ID miner's per-key value lists bounded no matter how
 	// many users run.
 	uuids []string
 }
+
+// nativeSynth is one compiled per-visit native template.
+type nativeSynth struct{ query, body template }
 
 // Model is the immutable, shareable behaviour model: samplers plus the
 // precomputed per-profile and per-site synthesis tables. All methods
@@ -112,7 +126,14 @@ func newModel(cfg *Config) *Model {
 }
 
 func newSiteSynth(s *websim.Site, list *hostlist.List) siteSynth {
-	ss := siteSynth{domain: s.Domain, url: s.URL(), docSize: s.DocSize}
+	visit := s.URL()
+	ss := siteSynth{
+		domain:  s.Domain,
+		url:     visit,
+		urlB64:  base64.StdEncoding.EncodeToString([]byte(visit)),
+		urlEsc:  url.QueryEscape(visit),
+		docSize: s.DocSize,
+	}
 	for _, r := range s.Resources {
 		u, err := url.Parse(r.URL)
 		if err != nil || u.Host == "" {
@@ -122,11 +143,15 @@ func newSiteSynth(s *websim.Site, list *hostlist.List) siteSynth {
 		if path == "" {
 			path = "/"
 		}
+		ad := list != nil && list.AdRelated(u.Hostname())
+		if ad {
+			ss.adRes++
+		}
 		ss.res = append(ss.res, resSynth{
 			host:      u.Hostname(),
 			path:      path,
 			size:      r.Size,
-			adRelated: list != nil && list.AdRelated(u.Hostname()),
+			adRelated: ad,
 		})
 	}
 	return ss
@@ -154,6 +179,22 @@ func newProfileSynth(r rng, idx int, p *profiles.Profile, cfg *Config) *profileS
 	if p.DoHPIIQname != "" {
 		ps.dohQname = strings.ReplaceAll(p.DoHPIIQname, "{CC}",
 			strings.ToLower(browser.TestbedCountry))
+	}
+	for _, t := range p.OnVisit {
+		ps.onVisit = append(ps.onVisit, nativeSynth{compileTemplate(t.Query), compileTemplate(t.Body)})
+	}
+	ps.nativeFlows = len(p.OnVisit)
+	if ps.piiQuery != "" {
+		ps.nativeFlows++
+	}
+	if len(p.NoiseHosts) > 0 {
+		ps.nativeFlows += max(p.VisitNoise, 0)
+	}
+	if p.WSTelemetryHost != "" {
+		ps.nativeFlows++
+	}
+	if ps.dohHost != "" {
+		ps.nativeFlows++
 	}
 	ps.uuids = make([]string, uuidPoolSize)
 	for k := range ps.uuids {

@@ -3,6 +3,7 @@ package popsim
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"panoptes/internal/analysis"
@@ -58,11 +59,13 @@ type Config struct {
 	// Throttled session starts wait in a FIFO backlog, not the wheel.
 	AdmitPerSec float64
 	AdmitBurst  int
-	// Parallelism is the number of flow-synthesis workers (default 1).
-	// They synthesize a tick's next commit group while the event loop
-	// commits the current one; the loop assigns IDs and commits in job
-	// order, so results are identical at any setting. Even at 1 the
-	// worker runs beside the committing loop.
+	// Parallelism is the number of goroutines, the event loop's own
+	// included, that synthesize and commit a tick's visits (default 1).
+	// Each takes the next visit, synthesizes it, stamps the flow IDs
+	// the loop reserved for it and commits it as one batch. Batches of
+	// different visits reach the commit tap in any order, so only the
+	// interleaving varies with this setting: every flow's ID and the
+	// analysis results are identical at any value.
 	Parallelism int
 	// RampUp spreads fresh-user arrivals (default Duration).
 	RampUp time.Duration
@@ -143,8 +146,8 @@ type Stats struct {
 }
 
 // Engine is the population session engine. Not safe for concurrent
-// use: one goroutine drives Run/RunUntil (synthesis parallelism is
-// internal).
+// use: one goroutine drives Run/RunUntil (the goroutines that
+// synthesize and commit visits are internal).
 type Engine struct {
 	cfg   Config
 	model *Model
@@ -172,33 +175,10 @@ type Engine struct {
 
 	buf  []event
 	jobs []synthJob
-	// ring holds the job slots: job i of a tick fills slot
-	// i % ringSlots. A slot keeps its flows, with the engine's reference
-	// on each, until the synthesis worker that fills it next releases
-	// them, so recycled records go back to the pool on the goroutine
-	// that reacquires them. batch is the open commit group's flows in
-	// job order.
-	ring  []slot
-	batch []*capture.Flow
+	// ids[i] is job i's first flow ID, reserved on the loop goroutine;
+	// ids[len(jobs)] is one past the tick's last.
+	ids []int64
 }
-
-// slot is one job's place in the ring: the flows the job synthesized
-// and the signal that they are ready to commit.
-type slot struct {
-	flows []*capture.Flow
-	ready chan struct{}
-}
-
-// ringSlots is the job-slot ring's length, and so how far synthesis
-// may run ahead of the commit: at the ~50 flows a visit averages, a
-// group of groupFlows spans about 20 jobs, so the ring holds the group
-// being committed plus two more being synthesized. It is the engine's
-// flow working set, fixed however many jobs a tick holds.
-const ringSlots = 64
-
-// groupFlows is the least number of flows a commit group holds: one
-// pipeline chunk, so every group but a tick's tail folds in lanes.
-const groupFlows = 1024
 
 // New builds an engine. The run window starts at the clock's current
 // instant; the curve analyzer (Curve) is ready to be registered on the
@@ -221,10 +201,6 @@ func New(cfg Config) (*Engine, error) {
 		cSessions:  obs.Default.Counter("popsim_sessions_total"),
 		cEvents:    obs.Default.Counter("popsim_events_scheduled_total"),
 		cThrottled: obs.Default.Counter("popsim_admission_throttled_total"),
-	}
-	e.ring = make([]slot, ringSlots)
-	for i := range e.ring {
-		e.ring[i].ready = make(chan struct{}, 1)
 	}
 	e.curve = analysis.NewFig5Analyzer(profileFleet(cfg.Profiles), e.start, cfg.Duration, cfg.BinSeconds)
 	e.nextArrivalS = e.model.arrivalGap(0)
@@ -264,11 +240,6 @@ func (e *Engine) RunUntil(elapsed time.Duration) error {
 	for e.wheel.cursor < target {
 		e.step()
 	}
-	for i := range e.ring {
-		e.ring[i].flows = release(e.ring[i].flows)
-	}
-	clear(e.batch)
-	e.batch = e.batch[:0]
 	return nil
 }
 
@@ -399,66 +370,59 @@ func ticksOf(d time.Duration) uint32 {
 	return n
 }
 
-// flush synthesizes the tick's queued visits on Parallelism workers
-// and commits their flows in job order on the loop goroutine. The jobs
-// are cut at job boundaries into commit groups of at least groupFlows
-// flows (a tick's tail may hold fewer, and a group never spans more
-// than the ring), and the workers synthesize the next group while the
-// loop commits the current one. The loop hands a job to the workers
-// only once the job that last used its slot has been committed. IDs
-// are assigned at commit, so the committed stream is identical at any
-// parallelism.
+// flush synthesizes and commits the tick's queued visits. The loop
+// reserves every flow ID of the tick up front, in job order; then
+// Parallelism goroutines, the loop's own included, each take the next
+// job, synthesize it, stamp its reserved IDs and commit it as one
+// batch, so the flows are folded while they are still in cache. A
+// worker then releases the engine's reference on the job's flows, so
+// recycled records go back to the pool on the goroutine that
+// reacquires them, and the engine holds no flow between ticks.
 func (e *Engine) flush() {
 	jobs := e.jobs
 	if len(jobs) == 0 {
 		return
 	}
-	// At most ringSlots jobs are handed out and not yet committed, so
-	// dispatch never blocks.
-	work := make(chan int, ringSlots)
+	e.ids = append(e.ids[:0], 0)
+	for _, j := range jobs {
+		e.ids = append(e.ids, e.ids[len(e.ids)-1]+int64(e.model.flowCount(j)))
+	}
+	total := e.ids[len(jobs)]
+	first := capture.ReserveFlowIDs(int(total))
+	if !e.idSet {
+		e.idBase, e.idSet = first-1, true
+	}
+	for i := range e.ids {
+		e.ids[i] += first
+	}
+	var next atomic.Int64
+	work := func() {
+		var fs []*capture.Flow
+		for i := int(next.Add(1) - 1); i < len(jobs); i = int(next.Add(1) - 1) {
+			fs = e.model.synthesize(jobs[i], fs)
+			if want := e.ids[i+1] - e.ids[i]; int64(len(fs)) != want {
+				panic(fmt.Sprintf("popsim: visit synthesized %d flows, %d IDs reserved", len(fs), want))
+			}
+			for k, f := range fs {
+				f.ID = e.ids[i] + int64(k)
+			}
+			e.cfg.DB.CommitAll(fs)
+			for k, f := range fs {
+				f.Release()
+				fs[k] = nil
+			}
+			fs = fs[:0]
+		}
+	}
 	var wg sync.WaitGroup
-	for w := min(e.cfg.Parallelism, len(jobs), ringSlots); w > 0; w-- {
+	for w := min(e.cfg.Parallelism, len(jobs)) - 1; w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				s := &e.ring[i%ringSlots]
-				s.flows = e.model.synthesize(jobs[i], release(s.flows))
-				s.ready <- struct{}{}
-			}
+			work()
 		}()
 	}
-	sent, first := 0, 0 // jobs handed out; the open group's first job
-	for i := range jobs {
-		for ; sent < min(first+ringSlots, len(jobs)); sent++ {
-			work <- sent
-		}
-		s := &e.ring[i%ringSlots]
-		<-s.ready
-		for _, f := range s.flows {
-			f.ID = capture.NextFlowID()
-			if !e.idSet {
-				e.idBase, e.idSet = f.ID-1, true
-			}
-			e.batch = append(e.batch, f)
-		}
-		if len(e.batch) >= groupFlows || i+1-first == ringSlots || i+1 == len(jobs) {
-			e.cfg.DB.CommitAll(e.batch)
-			e.stats.FlowsCommitted += int64(len(e.batch))
-			e.batch = e.batch[:0]
-			first = i + 1
-		}
-	}
-	close(work)
+	work()
 	wg.Wait()
-}
-
-// release drops the engine's reference on each flow of a job slot and
-// returns the slot emptied.
-func release(fs []*capture.Flow) []*capture.Flow {
-	for i, f := range fs {
-		f.Release()
-		fs[i] = nil
-	}
-	return fs[:0]
+	e.stats.FlowsCommitted += total
 }

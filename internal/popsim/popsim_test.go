@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -176,9 +178,9 @@ func TestPopulationDeterminism(t *testing.T) {
 		t.Error("paused-and-resumed run diverged from straight run")
 	}
 
-	// A dense run commits ticks longer than the pipeline's batch chunk
-	// (1024 flows), which the pipeline folds in parallel lanes; folded
-	// flow by flow, the same run must come out byte-identical.
+	// A dense run commits many visits per tick from two goroutines at
+	// once; folded flow by flow, the same run must come out
+	// byte-identical.
 	dense := func(c *Config) {
 		c.Population = 600
 		c.Duration = 10 * time.Second
@@ -186,31 +188,26 @@ func TestPopulationDeterminism(t *testing.T) {
 		c.AdmitPerSec = 1000
 		c.Parallelism = 2
 	}
-	laned := newPopHarness(t, dense)
-	sizes := &batchSizes{Pipeline: laned.pl}
-	laned.db.SetTap(sizes)
+	batched := newPopHarness(t, dense)
 	serial := newPopHarness(t, dense)
 	serial.db.SetTap(flowByFlow{serial.pl})
-	for _, h := range []*popHarness{laned, serial} {
+	for _, h := range []*popHarness{batched, serial} {
 		if err := h.engine.Run(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if sizes.max <= 1024 {
-		t.Fatalf("dense run's longest tick is %d flows; the lanes path is untested", sizes.max)
-	}
-	if laned.fingerprint(t) != serial.fingerprint(t) {
-		t.Error("batch fold in lanes diverged from the per-flow fold")
+	if batched.fingerprint(t) != serial.fingerprint(t) {
+		t.Error("batch fold diverged from the per-flow fold")
 	}
 
-	// A tick's jobs commit in groups of at least one chunk, cut at job
-	// boundaries, while the workers synthesize the next group. This run
-	// holds ticks below one chunk, a tick whose last job closes a full
-	// group, and ticks of many groups. Flow IDs must run contiguous in
-	// commit order, and neither the groups nor the analyses may depend
-	// on synthesis parallelism or on the fold.
-	t.Run("group boundaries", func(t *testing.T) {
-		grouped := func(p int) func(*Config) {
+	// Every visit commits as one batch under the IDs the loop reserved
+	// for it. The ramp-up packs 400 users into five ticks, so the run
+	// holds crowded ticks and, later, sparse ones. Each batch must be one visit with contiguous IDs, the
+	// batches together must cover the run-relative IDs 1..FlowsCommitted
+	// exactly, and the analyses may depend neither on the number of
+	// committing goroutines nor on the fold.
+	t.Run("job IDs", func(t *testing.T) {
+		busy := func(p int) func(*Config) {
 			return func(c *Config) {
 				c.Population = 400
 				c.Duration = 2 * time.Second
@@ -221,113 +218,93 @@ func TestPopulationDeterminism(t *testing.T) {
 			}
 		}
 		var want string
-		var wantGroups []commitGroup
 		for _, p := range []int{1, 2, 8} {
-			h := newPopHarness(t, grouped(p))
-			g := &groupTap{Pipeline: h.pl}
-			h.db.SetTap(g)
+			h := newPopHarness(t, busy(p))
+			jt := &jobTap{Pipeline: h.pl}
+			h.db.SetTap(jt)
 			if err := h.engine.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if g.first-h.engine.FlowIDBase() != 1 || g.gaps != 0 ||
-				g.last-h.engine.FlowIDBase() != h.engine.Stats().FlowsCommitted {
-				t.Fatalf("parallelism=%d: run-relative IDs %d..%d with %d gaps over %d committed flows",
-					p, g.first-h.engine.FlowIDBase(), g.last-h.engine.FlowIDBase(), g.gaps,
-					h.engine.Stats().FlowsCommitted)
-			}
+			jt.check(t, h.engine)
 			if p == 1 {
-				want, wantGroups = h.fingerprint(t), g.groups
-				checkGroupCoverage(t, g.groups)
+				want = h.fingerprint(t)
 				continue
-			}
-			if fmt.Sprint(g.groups) != fmt.Sprint(wantGroups) {
-				t.Errorf("parallelism=%d cut different commit groups than parallelism=1", p)
 			}
 			if h.fingerprint(t) != want {
 				t.Errorf("parallelism=%d diverged from parallelism=1", p)
 			}
 		}
-		serial := newPopHarness(t, grouped(2))
+		serial := newPopHarness(t, busy(2))
 		serial.db.SetTap(flowByFlow{serial.pl})
 		if err := serial.engine.Run(); err != nil {
 			t.Fatal(err)
 		}
 		if serial.fingerprint(t) != want {
-			t.Error("group commits diverged from the per-flow fold")
+			t.Error("per-visit commits diverged from the per-flow fold")
 		}
 	})
 }
 
-// commitGroup is one committed batch: its length and its tick (every
-// flow of a visit carries the tick's instant).
-type commitGroup struct {
-	n    int
-	tick time.Time
-}
-
-// groupTap is the pipeline as a commit tap, noting every batch and
-// checking that flow IDs arrive contiguous.
-type groupTap struct {
-	*pipeline.Pipeline
-	groups      []commitGroup
+// jobBatch is one committed batch: its first and last flow IDs and
+// whether it looked like one visit.
+type jobBatch struct {
 	first, last int64
-	gaps        int
+	n           int
+	oneVisit    bool
 }
 
-func (g *groupTap) ObserveAll(fs []*capture.Flow) {
-	g.groups = append(g.groups, commitGroup{len(fs), fs[0].Time})
-	for _, f := range fs {
-		if g.first == 0 {
-			g.first = f.ID
-		} else if f.ID != g.last+1 {
-			g.gaps++
-		}
-		g.last = f.ID
-	}
-	g.Pipeline.ObserveAll(fs)
-}
-
-// checkGroupCoverage asserts the cut rule (every group but a tick's
-// last holds at least groupFlows flows) and that the run covers ticks
-// below one chunk, a tick ending on a group boundary, and a tick of
-// several groups.
-func checkGroupCoverage(t *testing.T, groups []commitGroup) {
-	t.Helper()
-	small, boundary, most := 0, 0, 0
-	for i := 0; i < len(groups); {
-		j := i + 1
-		for j < len(groups) && groups[j].tick.Equal(groups[i].tick) {
-			j++
-		}
-		for _, g := range groups[i : j-1] {
-			if g.n < groupFlows {
-				t.Errorf("tick %v: a group of %d flows is not the tick's last", g.tick, g.n)
-			}
-		}
-		switch last := groups[j-1].n; {
-		case j-i == 1 && last < groupFlows:
-			small++
-		case last >= groupFlows:
-			boundary++
-		}
-		most = max(most, j-i)
-		i = j
-	}
-	if small == 0 || boundary == 0 || most < 4 {
-		t.Fatalf("run covers %d ticks below one chunk, %d ending on a group boundary, at most %d groups in a tick; want >0, >0, >=4",
-			small, boundary, most)
-	}
-}
-
-// batchSizes is the pipeline as a commit tap, noting the longest batch.
-type batchSizes struct {
+// jobTap is the pipeline as a commit tap, noting every batch. Batches
+// arrive from several goroutines at once.
+type jobTap struct {
 	*pipeline.Pipeline
-	max int
+	mu      sync.Mutex
+	batches []jobBatch
 }
 
-func (b *batchSizes) ObserveAll(fs []*capture.Flow) {
-	b.max = max(b.max, len(fs))
-	b.Pipeline.ObserveAll(fs)
+func (j *jobTap) ObserveAll(fs []*capture.Flow) {
+	b := jobBatch{first: fs[0].ID, last: fs[len(fs)-1].ID, n: len(fs), oneVisit: true}
+	// One visit: one browser at one instant, its engine flows first
+	// (the document leads), then its native flows, IDs in slice order.
+	native := false
+	for i, f := range fs {
+		native = native || f.Origin == capture.OriginNative
+		if f.ID != b.first+int64(i) || f.Browser != fs[0].Browser || !f.Time.Equal(fs[0].Time) ||
+			(native && f.Origin != capture.OriginNative) {
+			b.oneVisit = false
+		}
+	}
+	if fs[0].Origin != capture.OriginEngine || fs[0].Path != "/" {
+		b.oneVisit = false
+	}
+	j.mu.Lock()
+	j.batches = append(j.batches, b)
+	j.mu.Unlock()
+	j.Pipeline.ObserveAll(fs)
+}
+
+// check asserts one batch per visit, each one visit with contiguous
+// IDs, and that together they cover the run-relative IDs
+// 1..FlowsCommitted exactly once.
+func (j *jobTap) check(t *testing.T, e *Engine) {
+	t.Helper()
+	s := e.Stats()
+	if len(j.batches) != s.Visits {
+		t.Fatalf("%d batches for %d visits", len(j.batches), s.Visits)
+	}
+	sort.Slice(j.batches, func(a, b int) bool { return j.batches[a].first < j.batches[b].first })
+	next := e.FlowIDBase() + 1
+	for _, b := range j.batches {
+		if !b.oneVisit {
+			t.Fatalf("batch of IDs %d..%d is not one visit in canonical order", b.first, b.last)
+		}
+		if b.first != next {
+			t.Fatalf("run-relative IDs jump from %d to %d", next-1-e.FlowIDBase(), b.first-e.FlowIDBase())
+		}
+		next = b.last + 1
+	}
+	if got := next - 1 - e.FlowIDBase(); got != s.FlowsCommitted {
+		t.Fatalf("run-relative IDs end at %d, FlowsCommitted = %d", got, s.FlowsCommitted)
+	}
 }
 
 // flowByFlow hides a tap's ObserveAll, so every batch reaches it as one
@@ -335,11 +312,17 @@ func (b *batchSizes) ObserveAll(fs []*capture.Flow) {
 type flowByFlow struct{ capture.Tap }
 
 // refTap pins every committed flow, as a retaining export sink does.
-type refTap struct{ flows []*capture.Flow }
+// Batches arrive from several goroutines at once.
+type refTap struct {
+	mu    sync.Mutex
+	flows []*capture.Flow
+}
 
 func (t *refTap) Observe(f *capture.Flow) {
 	f.Ref()
+	t.mu.Lock()
 	t.flows = append(t.flows, f)
+	t.mu.Unlock()
 }
 func (t *refTap) Retract(int64) {}
 func (t *refTap) Seal(int64)    {}
@@ -347,8 +330,8 @@ func (t *refTap) Seal(int64)    {}
 // TestRunUntilHoldsNoFlows: once RunUntil returns the engine holds no
 // reference on any flow it committed, so when the last other holder
 // lets go every record is recycled (resetForReuse zeroes it). The
-// dense case's first tick holds many commit groups, so the job-slot
-// ring wraps inside the tick, and the ring keeps its length.
+// dense case's first tick holds hundreds of visits, so each committing
+// goroutine recycles flows many times inside the tick.
 func TestRunUntilHoldsNoFlows(t *testing.T) {
 	h := newPopHarness(t, func(c *Config) {
 		c.Population = 200
@@ -360,8 +343,7 @@ func TestRunUntilHoldsNoFlows(t *testing.T) {
 		runPinned(t, h, until)
 	}
 
-	// Nearly all 800 users arrive inside the first tick, which then
-	// holds more than ten times as many jobs as the ring has slots.
+	// Nearly all 800 users arrive inside the first tick.
 	dense := newPopHarness(t, func(c *Config) {
 		c.Population = 800
 		c.Duration = time.Second
@@ -370,16 +352,10 @@ func TestRunUntilHoldsNoFlows(t *testing.T) {
 		c.Parallelism = 2
 	})
 	runPinned(t, dense, tickDur)
-	if n := len(dense.engine.jobs); n < 10*ringSlots {
-		t.Fatalf("dense first tick holds %d jobs, want at least %d", n, 10*ringSlots)
-	}
-	if n := len(dense.engine.ring); n != ringSlots {
-		t.Errorf("job ring has %d slots after a tick of %d jobs, want %d", n, len(dense.engine.jobs), ringSlots)
+	if n := len(dense.engine.jobs); n < 640 {
+		t.Fatalf("dense first tick holds %d jobs, want at least 640", n)
 	}
 	runPinned(t, dense, time.Second)
-	if n := len(dense.engine.ring); n != ringSlots {
-		t.Errorf("job ring has %d slots, want %d", n, ringSlots)
-	}
 }
 
 // runPinned runs the engine to until with a tap that pins every
@@ -463,13 +439,18 @@ func TestPopulationBoundedResidency(t *testing.T) {
 
 // modelFor builds a standalone model for sampler tests.
 func modelFor(t *testing.T, seed int64) *Model {
+	return modelWith(t, seed, websim.Dataset(20))
+}
+
+// modelWith builds a standalone model over the given sites.
+func modelWith(t *testing.T, seed int64, sites []*websim.Site) *Model {
 	t.Helper()
 	cfg, err := Config{
 		Population: 1000,
 		Duration:   time.Minute,
 		Seed:       seed,
 		Profiles:   profiles.All(),
-		Sites:      websim.Dataset(20),
+		Sites:      sites,
 		Hostlist:   hostlist.Bundled(),
 		DB:         capture.NewDB(),
 		Clock:      vclock.New(),
@@ -580,6 +561,53 @@ func TestMarketShareAssignment(t *testing.T) {
 		if counts[i] >= counts[0] {
 			t.Errorf("%s (%d users) outdrew %s (%d users)",
 				fleet[i].Name, counts[i], fleet[0].Name, counts[0])
+		}
+	}
+}
+
+// TestFlowCountMatchesSynthesize: the count the event loop reserves
+// flow IDs by equals what synthesis renders, for every default profile
+// on every site of the benchmark's 50-site list, sampled and not.
+func TestFlowCountMatchesSynthesize(t *testing.T) {
+	m := modelWith(t, 42, websim.Dataset(50))
+	var fs []*capture.Flow
+	for p := range m.profiles {
+		for site := range m.sites {
+			for _, sampled := range []bool{false, true} {
+				j := synthJob{user: uint32(7 * site), sess: 1, visit: 2, pIdx: p, siteIdx: site, sampled: sampled}
+				fs = m.synthesize(j, fs[:0])
+				if want := m.flowCount(j); len(fs) != want {
+					t.Errorf("%s on %s (sampled %v): synthesized %d flows, flowCount %d",
+						m.profiles[p].p.Name, m.sites[site].domain, sampled, len(fs), want)
+				}
+				for _, f := range fs {
+					f.Release()
+				}
+			}
+		}
+	}
+}
+
+// TestTemplateMatchesReplacer: a compiled native template renders what
+// a strings.Replacer over the placeholders renders, for every default
+// profile's templates and for edge cases around the braces.
+func TestTemplateMatchesReplacer(t *testing.T) {
+	vals := placeholderValues{"https://a.example/p?q=1", "aHR0cHM6Ly9h", "https%3A%2F%2Fa.example", "a.example", "0123abcd"}
+	var olds []string
+	for k, p := range placeholders {
+		olds = append(olds, p, vals[k])
+	}
+	r := strings.NewReplacer(olds...)
+	cases := []string{"", "plain", "{URL}", "{URL}{URL}", "x{URL_B64}y{URL_ESC}z", "{{HOST}}", "{URL", "{URL_}", "{UUID}{", "}{HOST"}
+	for _, p := range profiles.All() {
+		for _, tpl := range p.OnVisit {
+			cases = append(cases, tpl.Query, tpl.Body)
+		}
+	}
+	for _, c := range cases {
+		want := r.Replace(c)
+		if got := string(compileTemplate(c).appendTo([]byte("pre"), &vals)); got != "pre"+want {
+			t.Errorf("appendTo(%q) = %q, want %q", c, got, "pre"+want)
 		}
 	}
 }

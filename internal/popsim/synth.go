@@ -1,10 +1,8 @@
 package popsim
 
 import (
-	"encoding/base64"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strings"
 	"time"
 
@@ -37,10 +35,26 @@ const reqOverhead = 180
 // nativeRespBytes is the modelled response size of a phone-home beacon.
 const nativeRespBytes = 64
 
+// flowCount is the number of flows synthesize renders for j, at least
+// one: a pure function of the job, so the event loop can reserve the
+// visit's flow IDs before any worker synthesizes it.
+func (m *Model) flowCount(j synthJob) int {
+	ps := m.profiles[j.pIdx]
+	site := &m.sites[j.siteIdx]
+	n := 1 + len(site.res) + ps.nativeFlows
+	if ps.p.EngineAdBlock {
+		n -= site.adRes
+	}
+	if j.sampled && ps.dohHost != "" && ps.dohQname != "" {
+		n++
+	}
+	return n
+}
+
 // synthesize renders one visit's traffic — the engine fetches and the
 // profile's native phone-home behaviours — as capture flows in their
-// canonical order. Flows come from the capture pool and carry no ID;
-// the engine's committer assigns IDs in job order.
+// canonical order, appended to out. Flows come from the capture pool
+// and carry no ID; the engine stamps the IDs it reserved for the job.
 func (m *Model) synthesize(j synthJob, out []*capture.Flow) []*capture.Flow {
 	ps := m.profiles[j.pIdx]
 	site := &m.sites[j.siteIdx]
@@ -76,6 +90,8 @@ func (m *Model) synthesize(j synthJob, out []*capture.Flow) []*capture.Flow {
 	// --- Native plane: the profile's per-visit phone-home traffic,
 	// in the order the emulator issues it. ---
 	uuid := m.UUID(j.pIdx, j.user)
+	vals := placeholderValues{site.url, site.urlB64, site.urlEsc, site.domain, uuid}
+	var scratch [512]byte // queries render here; the string copy is their one allocation
 	for i := range ps.p.OnVisit {
 		t := &ps.p.OnVisit[i]
 		method := t.Method
@@ -86,11 +102,10 @@ func (m *Model) synthesize(j synthJob, out []*capture.Flow) []*capture.Flow {
 		f.Method = method
 		f.Host = t.Host
 		f.Path = t.Path
-		f.RawQuery = expand(t.Query, site.url, site.domain, uuid)
-		body := expand(t.Body, site.url, site.domain, uuid)
-		f.Body = append(f.Body[:0], body...)
+		f.RawQuery = string(ps.onVisit[i].query.appendTo(scratch[:0], &vals))
+		f.Body = ps.onVisit[i].body.appendTo(f.Body[:0], &vals)
 		m.stampNativeTransport(ps, f)
-		f.ReqBytes = reqOverhead + len(t.Host) + len(t.Path) + len(f.RawQuery) + len(body)
+		f.ReqBytes = reqOverhead + len(t.Host) + len(t.Path) + len(f.RawQuery) + len(f.Body)
 		f.RespBytes = nativeRespBytes
 		out = append(out, f)
 	}
@@ -121,8 +136,7 @@ func (m *Model) synthesize(j synthJob, out []*capture.Flow) []*capture.Flow {
 		f.Path = "/beacon"
 		if ps.p.NoiseBytes > 0 {
 			f.Method = http.MethodPost
-			body := fmt.Sprintf(`{"event":"telemetry","seq":%d,"pad":"%s"}`, seq, ps.noisePad)
-			f.Body = append(f.Body[:0], body...)
+			f.Body = fmt.Appendf(f.Body[:0], `{"event":"telemetry","seq":%d,"pad":"%s"}`, seq, ps.noisePad)
 		} else {
 			f.Method = http.MethodGet
 		}
@@ -139,9 +153,8 @@ func (m *Model) synthesize(j synthJob, out []*capture.Flow) []*capture.Flow {
 		f.Host = ps.p.WSTelemetryHost
 		f.Path = "/push/v1/telemetry"
 		f.Transport = capture.TransportWS
-		frame := fmt.Sprintf(`{"event":"page_visit","seq":%d,"url":%q,"uuid":%q}`, seq, site.url, uuid)
-		f.Body = append(f.Body[:0], frame...)
-		f.ReqBytes = len(frame) + 6 // frame header + masked payload
+		f.Body = fmt.Appendf(f.Body[:0], `{"event":"page_visit","seq":%d,"url":%q,"uuid":%q}`, seq, site.url, uuid)
+		f.ReqBytes = len(f.Body) + 6 // frame header + masked payload
 		f.RespBytes = 0
 		out = append(out, f)
 	}
@@ -202,20 +215,67 @@ func (m *Model) dohFlow(ps *profileSynth, j synthJob, qname, visitURL string) *c
 	return f
 }
 
-// expand fills a native template's placeholders (the emulator's
-// browser.expand, minus the per-instance UUID source).
-func expand(t, visitURL, host, uuid string) string {
-	if t == "" {
-		return ""
+// placeholders are the native template placeholders (the emulator's
+// browser.expand, minus the per-instance UUID source), in the order
+// placeholderValues holds their values.
+var placeholders = [...]string{"{URL}", "{URL_B64}", "{URL_ESC}", "{HOST}", "{UUID}"}
+
+// placeholderValues is one visit's value for each placeholder.
+type placeholderValues [len(placeholders)]string
+
+// segment is one piece of a compiled template: the literal lit when
+// ph < 0, else the value of placeholder ph.
+type segment struct {
+	lit string
+	ph  int
+}
+
+// template is a native template compiled once per profile into
+// literal and placeholder segments. Rendering it gives what a
+// strings.Replacer over the placeholders gives: no placeholder is a
+// prefix of another, so at most one matches at any position, and
+// values are never rescanned.
+type template []segment
+
+// compileTemplate splits t at its placeholders.
+func compileTemplate(t string) template {
+	var out template
+	lit := 0
+	for i := 0; i < len(t); {
+		ph := -1
+		for k, p := range placeholders {
+			if strings.HasPrefix(t[i:], p) {
+				ph = k
+				break
+			}
+		}
+		if ph < 0 {
+			i++
+			continue
+		}
+		if lit < i {
+			out = append(out, segment{lit: t[lit:i], ph: -1})
+		}
+		out = append(out, segment{ph: ph})
+		i += len(placeholders[ph])
+		lit = i
 	}
-	r := strings.NewReplacer(
-		"{URL}", visitURL,
-		"{URL_B64}", base64.StdEncoding.EncodeToString([]byte(visitURL)),
-		"{URL_ESC}", url.QueryEscape(visitURL),
-		"{HOST}", host,
-		"{UUID}", uuid,
-	)
-	return r.Replace(t)
+	if lit < len(t) {
+		out = append(out, segment{lit: t[lit:], ph: -1})
+	}
+	return out
+}
+
+// appendTo appends the rendered template to b.
+func (t template) appendTo(b []byte, vals *placeholderValues) []byte {
+	for _, s := range t {
+		if s.ph < 0 {
+			b = append(b, s.lit...)
+		} else {
+			b = append(b, vals[s.ph]...)
+		}
+	}
+	return b
 }
 
 // profileFleet converts a profile list to its name list in fleet order.

@@ -37,13 +37,18 @@ go test -race ./internal/webengine/...
 echo "==> go test -race (core, leak, pipeline, analysis, fabric: concurrent scheduler + streaming analyzers)"
 # The analyzers and the fabric shipper observe sealed attempts from the
 # campaign goroutine while proxy goroutines commit untagged flows, and
-# the pipeline folds long batches in parallel lanes
-# (TestObserveAllMatchesObserve). -p 1
+# the pipeline folds batches from several committing goroutines at once
+# (TestObserveAllConcurrent). -p 1
 # runs the packages one at a time: the fabric's lease janitor expires
 # leases on wall-clock silence, and competing race-instrumented packages
 # can starve a worker's heartbeat pump past StaleAfter.
 go test -race -p 1 ./internal/core/... ./internal/leak/... ./internal/pipeline/... \
     ./internal/analysis/... ./internal/fabric/...
+
+echo "==> concurrent batch fold (ObserveAll from 8 goroutines under -race, 10 times)"
+# Concurrent batches interleave differently on every run; ten runs give
+# the race detector and the serial-Observe comparison more interleavings.
+go test -race -count=10 -run 'TestObserveAllConcurrent' ./internal/pipeline/
 
 echo "==> go test -race (match, pii: shared automaton + dictionary dispatch)"
 go test -race ./internal/match/... ./internal/pii/...
@@ -79,20 +84,23 @@ echo "==> fault-seed chaos smoke (10% fault rate campaign under -race, all trans
 go test -race -p 1 -count=1 -run 'TestChaosCampaign|TestFaultCampaignDeterminism|TestDataPlaneDeterminism|TestFabricDeterminism' \
     ./internal/core/ ./internal/faultsim/ ./internal/fabric/
 
-echo "==> population engine gate (determinism keystone + group boundaries + flow recycling + 10k-user bounded-residency smoke under -race, 1 and 4 lanes)"
+echo "==> population engine gate (determinism keystone + per-visit job IDs + flow recycling + flow counts + 10k-user bounded-residency smoke under -race, GOMAXPROCS 1 and 4)"
 # The population keystone pins the analyses byte-identical across
 # synthesis parallelism 1/8, pause/resume, and a dense run folded in
-# pipeline lanes versus flow by flow; its group-boundary case pins the
-# commit groups and contiguous flow IDs at parallelism 1/2/8. Under
-# -race the synthesis workers build the next commit group while the
-# lanes fold the current one. TestRunUntilHoldsNoFlows requires every
-# committed flow to be recycled after RunUntil, also when the job-slot
-# ring wraps inside a tick. The bounded-residency smoke runs 10k users
-# under retain=none and requires zero resident flows and head-sampling
-# under its cap. -cpu 1,4 runs each with one pipeline lane and with
-# several.
+# batches versus flow by flow; its job-ID case requires every committed
+# batch to be one visit with contiguous IDs, the batches to cover the
+# run-relative IDs exactly, and the analyses to match at parallelism
+# 1/2/8. Under -race several goroutines synthesize and commit visits at
+# once, so their batches reach the pipeline concurrently.
+# TestRunUntilHoldsNoFlows requires every committed flow to be recycled
+# after RunUntil, also when a tick holds hundreds of visits.
+# TestFlowCountMatchesSynthesize holds the count the loop reserves IDs
+# by to what synthesis renders. The bounded-residency smoke runs 10k
+# users under retain=none and requires zero resident flows and
+# head-sampling under its cap. -cpu 1,4 runs each with the committing
+# goroutines on one P and on several.
 go test -race -count=1 -cpu 1,4 \
-    -run 'TestPopulationDeterminism|TestPopulationBoundedResidency|TestRunUntilHoldsNoFlows' \
+    -run 'TestPopulationDeterminism|TestPopulationBoundedResidency|TestRunUntilHoldsNoFlows|TestFlowCountMatchesSynthesize|TestTemplateMatchesReplacer' \
     ./internal/popsim/
 
 # The benchmark smokes below only check that every benchmark still runs;
