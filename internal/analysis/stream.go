@@ -612,8 +612,7 @@ type Suite struct {
 
 // NewSuite builds the analyzers for the given browser fleet and
 // ad-classification host list. Both leak scanners share one detector, so
-// each visit URL and hostname is interned and compiled into its
-// automaton once.
+// each visit URL compiles its automaton once.
 func NewSuite(list *hostlist.List, browsers []string) *Suite {
 	det := leak.NewDetector()
 	return &Suite{

@@ -16,7 +16,6 @@ package blocker
 import (
 	"fmt"
 	"net/http"
-	"net/url"
 	"sync"
 
 	"panoptes/internal/capture"
@@ -68,6 +67,7 @@ type Decision struct {
 type Blocker struct {
 	policy Policy
 	list   *hostlist.List
+	leaks  *leak.Detector // compiles each visit once across flows
 
 	mu         sync.Mutex
 	blocked    []Decision
@@ -80,7 +80,7 @@ func New(policy Policy, list *hostlist.List) *Blocker {
 	if list == nil {
 		list = hostlist.Bundled()
 	}
-	return &Blocker{policy: policy, list: list}
+	return &Blocker{policy: policy, list: list, leaks: leak.NewDetector()}
 }
 
 // Request implements mitm.Addon (classification happens in Veto).
@@ -114,9 +114,9 @@ func (b *Blocker) Veto(f *capture.Flow, req *http.Request) error {
 		return b.block(f, ReasonAdHost, f.Host)
 	}
 
-	if b.policy.BlockHistoryLeaks && f.VisitURL != "" {
-		if reason, hit := b.leaksVisit(f); hit {
-			return b.block(f, ReasonHistoryLeak, reason)
+	if b.policy.BlockHistoryLeaks {
+		if fnd, hit := b.leaks.ScanFlow(f); hit {
+			return b.block(f, ReasonHistoryLeak, fmt.Sprintf("%s (%s)", fnd.Kind, fnd.Encoding))
 		}
 	}
 
@@ -126,25 +126,6 @@ func (b *Blocker) Veto(f *capture.Flow, req *http.Request) error {
 		}
 	}
 	return nil
-}
-
-// leaksVisit checks whether the flow carries the current visit's URL or
-// host, running the leak scanner over the single flow.
-func (b *Blocker) leaksVisit(f *capture.Flow) (string, bool) {
-	vu, err := url.Parse(f.VisitURL)
-	if err != nil {
-		return "", false
-	}
-	if f.Host == vu.Hostname() {
-		return "", false
-	}
-	probe := leak.NewStreamScanner(leak.NewDetector(), f.Origin)
-	probe.Observe(f)
-	findings := probe.Findings()
-	if len(findings) == 0 {
-		return "", false
-	}
-	return fmt.Sprintf("%s (%s)", findings[0].Kind, findings[0].Encoding), true
 }
 
 func (b *Blocker) block(f *capture.Flow, reason Reason, detail string) error {

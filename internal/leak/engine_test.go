@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"net/url"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"panoptes/internal/capture"
@@ -194,11 +196,68 @@ func TestBatchScanMatchesNaive(t *testing.T) {
 	}
 }
 
-// BenchmarkLeakScanScaling measures per-flow scan cost as the active
-// visit population grows 64×. Pre-engine, each flow paid one
-// strings.Contains per representation of its own visit (and the
-// interning saves the hashing); the automaton makes the scan a single
-// pass, so ns/op should stay roughly flat across the axis.
+// TestConcurrentFirstSight: 8 goroutines scan differently shuffled
+// copies of one corpus through one Detector, so most visits are first
+// seen, and compiled, by several goroutines at once. Every flow's
+// finding must still equal the naive reference. ci.sh runs the leak
+// package under -race.
+func TestConcurrentFirstSight(t *testing.T) {
+	flows := leakFlows(100, rand.New(rand.NewSource(3)))
+	type result struct {
+		fnd Finding
+		ok  bool
+	}
+	ref := NewDetector()
+	want := make(map[*capture.Flow]result, len(flows))
+	for _, f := range flows {
+		fnd, ok := naiveScanOne(ref, f)
+		want[f] = result{fnd, ok}
+	}
+
+	det := NewDetector()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		order := slices.Clone(flows)
+		rand.New(rand.NewSource(int64(g))).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, f := range order {
+				fnd, ok := det.ScanFlow(f)
+				if w := want[f]; ok != w.ok || fnd != w.fnd {
+					t.Errorf("goroutine %d, flow %d: engine (%+v, %v) != naive (%+v, %v)", g, f.ID, fnd, ok, w.fnd, w.ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestSharedPatternReportsFirstEncoding: when two encodings of a value
+// render the same pattern, the visit's automaton holds it once, and a
+// hit reports the encoding that comes first in encodingOrder.
+func TestSharedPatternReportsFirstEncoding(t *testing.T) {
+	const visit = "visit-abc"
+	b64 := base64.StdEncoding.EncodeToString([]byte(visit))
+	if b64 != base64.URLEncoding.EncodeToString([]byte(visit)) || url.QueryEscape(visit) != visit {
+		t.Fatalf("%q must have one Base64 form and need no escaping", visit)
+	}
+	f := &capture.Flow{
+		ID: 1, Browser: "B", Host: "collector.vendor.test", Path: "/c",
+		VisitURL: visit, RawQuery: "p=" + b64,
+	}
+	fnd, ok := NewDetector().ScanFlow(f)
+	if !ok || fnd.Kind != KindFullURL || fnd.Encoding != EncBase64 {
+		t.Fatalf("got (%+v, %v), want a full-url leak encoded %s", fnd, ok, EncBase64)
+	}
+}
+
+// BenchmarkLeakScanScaling measures per-flow scan cost as the number of
+// distinct visits grows 64×. Each visit has its own small automaton
+// over its URL's and hostname's representations, compiled before the
+// timed region, so ns/op should stay roughly flat across the axis; the
+// largest size shows the cost of cycling through many cold automata.
 func BenchmarkLeakScanScaling(b *testing.B) {
 	for _, visits := range []int{16, 128, 1024} {
 		b.Run(fmt.Sprintf("visits=%d", visits), func(b *testing.B) {

@@ -16,6 +16,7 @@ import (
 	"encoding/base64"
 	"encoding/hex"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -172,20 +173,24 @@ var dohResolvers = map[string]bool{
 // digests last, so the cheapest positive encoding wins ties.
 var encodingOrder = []Encoding{EncPlain, EncEscaped, EncBase64, EncBase64URL, EncHex, EncMD5, EncSHA1, EncSHA256}
 
-// needle is the interned, engine-resident form of one searched value:
-// its pattern IDs in the shared automaton, ordered by encodingOrder, so
-// the first ID a scan reports maps to the same encoding the old
-// first-Contains-wins loop would have picked.
+// maxPatterns bounds one visit's pattern list: representations yields
+// at most ten forms of a value, and a visit searches two values (its
+// URL and its hostname).
+const maxPatterns = 2 * 10
+
+// needle is one searched value's patterns in encodingOrder: indices
+// into its visit's automaton, so the first matched index names the
+// encoding the original first-Contains-wins loop would have picked.
 type needle struct {
 	pids []int
 	encs []Encoding
 }
 
 // match resolves a scanned flow against the needle: the first matched
-// pattern ID in priority order names the winning encoding.
-func (n *needle) match(ms *match.MatchSet) (Encoding, bool) {
+// pattern in priority order names the winning encoding.
+func (n *needle) match(hit []bool) (Encoding, bool) {
 	for i, id := range n.pids {
-		if ms.Has(id) {
+		if hit[id] {
 			return n.encs[i], true
 		}
 	}
@@ -193,73 +198,37 @@ func (n *needle) match(ms *match.MatchSet) (Encoding, bool) {
 }
 
 // visitNeedles caches everything derivable from one VisitURL: the
-// parse outcome, the hostname, and the interned needles for the full
-// URL and (when the host has at least two labels) the bare domain.
+// hostname, the needles for the full URL and (when the host has at
+// least two labels) the bare domain, and the automaton over both
+// needles' patterns. ac is nil when the URL does not parse or the
+// encoding set yields no pattern.
 type visitNeedles struct {
-	ok   bool
 	host string
-	full *needle
-	dom  *needle
+	full needle
+	dom  needle
+	ac   *match.Automaton
 }
 
 // Detector holds what its StreamScanners share: the encoding set and
-// the match engine. Every value ever searched (visit URLs and hostnames
-// under all their encodings) is interned once into a single
-// Aho-Corasick pattern set, so scanning a flow is one automaton pass
-// regardless of how many visits are active.
+// one compiled visit per distinct VisitURL. A flow is only ever
+// searched for its own visit's URL and hostname, so each visit gets a
+// small automaton of its own, compiled once on its first flow; the scan
+// cost does not grow with the number of visits seen.
 type Detector struct {
 	Encodings EncodingSet
 
-	once    sync.Once
-	pats    *match.PatternSet
-	mu      sync.Mutex
-	needles map[string]*needle
-	visits  map[string]*visitNeedles
+	mu     sync.Mutex
+	visits map[string]*visitNeedles
 }
 
 // NewDetector builds a detector with the full encoding set.
 func NewDetector() *Detector { return &Detector{Encodings: AllEncodings()} }
 
-// engine lazily initialises the interning state so struct-literal
-// detectors (common in tests and call sites that only set Encodings)
-// keep working.
-func (d *Detector) engine() *match.PatternSet {
-	d.once.Do(func() {
-		d.pats = match.NewPatternSet("leak")
-		d.needles = make(map[string]*needle)
-		d.visits = make(map[string]*visitNeedles)
-	})
-	return d.pats
-}
-
-// needleFor interns the searchable representations of a value — the
-// digest and Base64 computation that used to run per scanner now runs
-// once per distinct value per detector.
-func (d *Detector) needleFor(value string) *needle {
-	d.engine()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if n, ok := d.needles[value]; ok {
-		return n
-	}
-	reps := representations(value, d.Encodings)
-	n := &needle{}
-	for _, enc := range encodingOrder {
-		for _, rep := range reps[enc] {
-			if id := d.pats.Add(rep); id >= 0 {
-				n.pids = append(n.pids, id)
-				n.encs = append(n.encs, enc)
-			}
-		}
-	}
-	d.needles[value] = n
-	return n
-}
-
-// visitFor returns the cached per-visit scan inputs, parsing and
-// interning on first sight of a VisitURL.
+// visitFor returns the cached per-visit scan inputs. On first sight of
+// a VisitURL it parses it and compiles its automaton outside the lock,
+// so one visit's compile never stalls another visit's scan; if two
+// goroutines race, the first to store wins.
 func (d *Detector) visitFor(visitURL string) *visitNeedles {
-	d.engine()
 	d.mu.Lock()
 	v, ok := d.visits[visitURL]
 	d.mu.Unlock()
@@ -268,22 +237,42 @@ func (d *Detector) visitFor(visitURL string) *visitNeedles {
 	}
 	v = &visitNeedles{}
 	if vu, err := url.Parse(visitURL); err == nil {
-		v.ok = true
 		v.host = vu.Hostname()
-		v.full = d.needleFor(visitURL)
+		var pats []string
+		needleFor := func(value string) (n needle) {
+			reps := representations(value, d.Encodings)
+			for _, enc := range encodingOrder {
+				for _, rep := range reps[enc] {
+					id := slices.Index(pats, rep)
+					if id < 0 {
+						id = len(pats)
+						pats = append(pats, rep)
+					}
+					n.pids = append(n.pids, id)
+					n.encs = append(n.encs, enc)
+				}
+			}
+			return n
+		}
+		v.full = needleFor(visitURL)
 		// Domain-only detection requires a host of at least two labels
 		// to avoid noise, mirroring the original Contains(".") gate.
 		if strings.Contains(v.host, ".") {
-			v.dom = d.needleFor(v.host)
+			v.dom = needleFor(v.host)
+		}
+		if len(pats) > 0 {
+			v.ac = match.Compile(pats)
 		}
 	}
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if prev, ok := d.visits[visitURL]; ok {
-		v = prev
-	} else {
-		d.visits[visitURL] = v
+		return prev
 	}
-	d.mu.Unlock()
+	if d.visits == nil {
+		d.visits = make(map[string]*visitNeedles)
+	}
+	d.visits[visitURL] = v
 	return v
 }
 

@@ -8,11 +8,10 @@ import (
 
 // StreamScanner is the history-leak scan: each committed flow is
 // searched as it arrives and the finding (at most one per flow) folded
-// into the running set. The search itself is a
-// single pass of the detector's shared Aho-Corasick engine over the
-// flow haystack — every active visit's representations are interned
-// into one automaton, so per-flow cost no longer grows with the number
-// of concurrent visits. Implements pipeline.Analyzer (plus Reset).
+// into the running set. The search itself is one pass of the flow's
+// own visit's Aho-Corasick automaton over the flow haystack, so
+// per-flow cost does not grow with the number of visits seen.
+// Implements pipeline.Analyzer (plus Reset).
 type StreamScanner struct {
 	det    *Detector
 	origin capture.Origin // the only origin scanned
@@ -41,18 +40,21 @@ func (s *StreamScanner) Observe(f *capture.Flow) {
 	s.mu.Unlock()
 }
 
-// scanOne runs the per-flow leak search (interning, automaton compile
-// and the scan itself all happen outside the state lock). The haystack
-// is built in a pooled buffer and searched in one automaton pass; the
-// matched pattern IDs then resolve against the visit's needles in
-// priority order, reproducing the original search exactly: full URL
-// before domain-only, cheapest encoding first.
-func (s *StreamScanner) scanOne(f *capture.Flow) (Finding, bool) {
+// scanOne is the scanner's per-flow search.
+func (s *StreamScanner) scanOne(f *capture.Flow) (Finding, bool) { return s.det.ScanFlow(f) }
+
+// ScanFlow runs the history-leak search on one flow, whatever its
+// origin. The visit's automaton is compiled on its first flow; the
+// haystack is built in a pooled buffer and scanned in one pass into a
+// stack hit array, with no lock held. The hits then resolve against the
+// visit's needles in priority order, reproducing the original search
+// exactly: full URL before domain-only, cheapest encoding first.
+func (d *Detector) ScanFlow(f *capture.Flow) (Finding, bool) {
 	if f.VisitURL == "" {
 		return Finding{}, false
 	}
-	v := s.det.visitFor(f.VisitURL)
-	if !v.ok {
+	v := d.visitFor(f.VisitURL)
+	if v.ac == nil {
 		return Finding{}, false
 	}
 	if f.Host == v.host {
@@ -70,31 +72,29 @@ func (s *StreamScanner) scanOne(f *capture.Flow) (Finding, bool) {
 	buf := haystackPool.Get(len(f.Path) + 2*len(f.RawQuery) + 2*len(f.Body) + 5)
 	defer haystackPool.Put(buf)
 	writeHaystack(buf, f)
-	ms := s.det.pats.Scan(buf.Bytes())
-	defer ms.Release()
+	var hit [maxPatterns]bool
+	v.ac.Scan(buf.Bytes(), hit[:])
 
-	if enc, ok := v.full.match(ms); ok {
+	if enc, ok := v.full.match(hit[:]); ok {
 		return Finding{
 			Browser: f.Browser, Host: f.Host, Kind: KindFullURL,
 			Encoding: enc, VisitURL: f.VisitURL, Incognito: f.Incognito, FlowID: f.ID,
 		}, true
 	}
 	// Domain-only: the visited hostname appears but the full URL does
-	// not (dom is nil for single-label hosts).
-	if v.dom != nil {
-		if enc, ok := v.dom.match(ms); ok {
-			return Finding{
-				Browser: f.Browser, Host: f.Host, Kind: KindDomainOnly,
-				Encoding: enc, VisitURL: f.VisitURL, Incognito: f.Incognito, FlowID: f.ID,
-			}, true
-		}
+	// not (dom is empty for single-label hosts).
+	if enc, ok := v.dom.match(hit[:]); ok {
+		return Finding{
+			Browser: f.Browser, Host: f.Host, Kind: KindDomainOnly,
+			Encoding: enc, VisitURL: f.VisitURL, Incognito: f.Incognito, FlowID: f.ID,
+		}, true
 	}
 	return Finding{}, false
 }
 
-// Reset drops all findings. The detector's interned
-// needles and compiled automaton survive: they are a pure function of
-// the values searched so far and stay valid across campaigns.
+// Reset drops all findings. The detector's compiled visits survive:
+// each is a pure function of its VisitURL and stays valid across
+// campaigns.
 func (s *StreamScanner) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -2,9 +2,6 @@ package match
 
 import (
 	"bytes"
-	"fmt"
-	"sort"
-	"strings"
 	"testing"
 )
 
@@ -13,8 +10,8 @@ import (
 // the automaton's matched-ID set must equal a naive strings.Contains
 // sweep. The input encodes patterns and the haystack in one byte
 // stream: 0xFF-separated chunks, first chunk is the haystack, the rest
-// are patterns. Patterns are added in two batches with a scan between
-// them, so the fuzz also crosses the stable/recent tier seam.
+// are patterns (empty and repeated chunks are dropped, as Compile
+// requires).
 func FuzzMatchVsNaive(f *testing.F) {
 	f.Add([]byte("ushers\xffhe\xffshe\xffhis\xffhers"))
 	f.Add([]byte("https://a.example/p?q=1\xffa.example\xffhttps://a.example/p?q=1\xff70a1"))
@@ -38,45 +35,8 @@ func FuzzMatchVsNaive(f *testing.F) {
 				break
 			}
 		}
-
-		old := promoteAt
-		promoteAt = 8 // cross the tier seam even for small sets
-		defer func() { promoteAt = old }()
-
-		ps := NewPatternSet(fmt.Sprintf("fuzz-%d", len(pats)))
-		half := len(pats) / 2
-		for i := 0; i < half; i++ {
-			if id := ps.Add(pats[i]); id != i {
-				t.Fatalf("Add(%q) = %d, want %d", pats[i], id, i)
-			}
-		}
-		ps.Scan(hay).Release() // force an interim compile
-		for i := half; i < len(pats); i++ {
-			ps.Add(pats[i])
-		}
-
-		ms := ps.Scan(hay)
-		defer ms.Release()
-		got := append([]int(nil), ms.IDs()...)
-		sort.Ints(got)
-		var want []int
-		for id, p := range pats {
-			if strings.Contains(string(hay), p) {
-				want = append(want, id)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("automaton matched %v, naive matched %v (hay %q, pats %q)", got, want, hay, pats)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("automaton matched %v, naive matched %v (hay %q, pats %q)", got, want, hay, pats)
-			}
-		}
-		for _, id := range want {
-			if !ms.Has(id) {
-				t.Fatalf("Has(%d) false for matched pattern %q", id, pats[id])
-			}
+		if len(pats) > 0 {
+			assertScan(t, pats, string(hay))
 		}
 	})
 }

@@ -50,11 +50,19 @@ echo "==> concurrent batch fold (ObserveAll from 8 goroutines under -race, 10 ti
 # the race detector and the serial-Observe comparison more interleavings.
 go test -race -count=10 -run 'TestObserveAllConcurrent' ./internal/pipeline/
 
-echo "==> go test -race (match, pii: shared automaton + dictionary dispatch)"
+echo "==> concurrent first-sight leak scans (8 goroutines through one detector under -race, 10 times)"
+# Each run interleaves the per-visit compiles and the map insert
+# differently; every flow's finding must equal the naive reference.
+go test -race -count=10 -run 'TestConcurrentFirstSight' ./internal/leak/
+
+echo "==> go test -race (match, pii: the automaton and keyword dictionary the scanners share)"
 go test -race ./internal/match/... ./internal/pii/...
 
 echo "==> fuzz smoke: pii body-field scanner vs its regexp spec (10 s)"
 go test -run '^$' -fuzz FuzzJSONFieldsVsRegexp -fuzztime 10s ./internal/pii/
+
+echo "==> fuzz smoke: Aho-Corasick automaton vs naive substring search (10 s)"
+go test -run '^$' -fuzz FuzzMatchVsNaive -fuzztime 10s ./internal/match/
 
 echo "==> go test -race (sink, breaker: export dispatchers + shared breakers)"
 go test -race ./internal/sink/... ./internal/breaker/...
