@@ -184,12 +184,8 @@ type printAddon struct{}
 func (printAddon) Request(f *capture.Flow, req *http.Request) {}
 
 func (printAddon) Response(f *capture.Flow, resp *http.Response) {
-	status := f.Status
-	if resp != nil {
-		status = resp.StatusCode
-	}
 	fmt.Printf("[%s] %-6s %s %s://%s%s  %d\n",
-		f.Origin, f.Method, f.Time.Format("15:04:05"), f.Scheme, f.Host, f.Path, status)
+		f.Origin, f.Method, f.Time.Format("15:04:05"), f.Scheme, f.Host, f.Path, f.Status)
 }
 
 func loadOrCreateCA(dir string) (*pki.CA, error) {

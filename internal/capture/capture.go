@@ -24,7 +24,7 @@ import (
 func init() {
 	obs.Default.Help("capture_flows_total", "Flows filed into each capture database since process start.")
 	obs.Default.Help("capture_store_flows", "Flows currently held by each capture database.")
-	obs.Default.Help("capture_store_bytes", "Request wire bytes filed into each capture database (responses are accounted by mitm_bytes_total, which is populated after the flow is stored).")
+	obs.Default.Help("capture_store_bytes", "Request wire bytes of the flows held by each capture database (response wire bytes are counted by mitm_bytes_total{dir=\"down\"}).")
 	obs.Default.Help("capture_spilled_total", "Committed flows spilled to the JSONL sink instead of being retained in memory, per capture database.")
 }
 
@@ -34,11 +34,11 @@ func init() {
 // with a navigation attempt is committed only when DB.SealAttempt seals
 // its attempt, and never if DB.RemoveAttempt quarantines it, so a tap
 // sees committed history only and keeps no per-attempt state. Seal and
-// Retract are after-the-fact notices, once per sealed or removed
-// attempt, with no undo duty: Seal follows the attempt's last Observe,
-// Retract names an attempt no tap will ever see. The streaming analysis
-// pipeline (internal/pipeline) and the export plane (internal/sink)
-// implement Tap.
+// Retract are after-the-fact notices with no undo duty: Seal follows
+// the attempt's last Observe (a flow arriving after its attempt sealed
+// gets another Seal), Retract names an attempt no tap will ever see.
+// The streaming analysis pipeline (internal/pipeline) and the export
+// plane (internal/sink) implement Tap.
 //
 // A tap may also take a committed batch (DB.CommitAll, DB.SealAttempt)
 // in one call by implementing ObserveAll(fs []*Flow), which must act as
@@ -190,10 +190,10 @@ type Flow struct {
 
 	Status   int `json:"status"`
 	ReqBytes int `json:"req_bytes"`
-	// RespBytes is the response's wire size, recorded by the proxy before
-	// the first response byte reaches the client (so it is final by the
-	// time the client's attempt can seal). When that write fails it is
-	// the planned size, not the bytes actually delivered.
+	// RespBytes is the response's wire size, taken from the encoded
+	// response before the flow is committed. When the write to the
+	// client fails it is the planned size, not the bytes actually
+	// delivered; the proxy's own error answers record 0.
 	RespBytes int `json:"resp_bytes"`
 
 	Origin    Origin `json:"origin"`
@@ -301,21 +301,29 @@ func EnsureFlowIDsAbove(n int64) {
 	}
 }
 
-// Add stamps the store's origin onto a flow and commits it, unless the
-// flow is attempt-tagged and the store belongs to a DB: then it parks in
-// the DB's gate (counted as resident) until DB.SealAttempt commits it or
-// DB.RemoveAttempt drops it.
+// Add stamps the store's origin onto a finished flow and commits it,
+// unless the flow is attempt-tagged and the store belongs to a DB: then
+// it parks in the DB's gate (counted as resident) until DB.SealAttempt
+// commits it or DB.RemoveAttempt drops it. A flow arriving after its
+// attempt closed follows it at once: committed, then another Seal
+// notice, or dropped.
 func (s *Store) Add(f *Flow) {
 	s.stamp(f)
 	if f.Attempt == 0 || s.gate == nil {
-		s.file(f)
-		s.observe(f)
+		s.commit(f)
 		return
 	}
-	f.Ref() // the gate's reference, dropped once the attempt seals or is removed
-	s.gate.park(f)
-	s.parked.Add(1)
-	s.resize(f, 1)
+	closed, sealed := s.gate.park(f)
+	switch {
+	case !closed:
+		s.parked.Add(1)
+		s.resize(f, 1)
+	case sealed:
+		s.commit(f)
+		if s.tap != nil {
+			s.tap.Seal(f.Attempt)
+		}
+	}
 }
 
 // stamp sets the store's origin on an arriving flow and counts it.
@@ -334,10 +342,14 @@ func (s *Store) count(n int) {
 	}
 }
 
-// file retains a committed flow or, with retention off, spills it.
-func (s *Store) file(f *Flow) {
+// commit files one flow (retains it or, with retention off, spills it)
+// and hands it to the tap.
+func (s *Store) commit(f *Flow) {
 	one := [1]*Flow{f}
 	s.fileAll(one[:])
+	if s.tap != nil {
+		s.tap.Observe(f)
+	}
 }
 
 // owns reports whether a committed flow belongs in this store: a DB's
@@ -384,13 +396,6 @@ func (s *Store) fileAll(fs []*Flow) {
 	if s.added != nil {
 		s.sizeFlows.Add(float64(n))
 		s.sizeBytes.Add(float64(bytes))
-	}
-}
-
-// observe feeds one filed flow to the commit tap.
-func (s *Store) observe(f *Flow) {
-	if t := s.tap; t != nil {
-		t.Observe(f)
 	}
 }
 
@@ -548,8 +553,7 @@ func (s *Store) ReadJSONL(r io.Reader) error {
 			return fmt.Errorf("capture: line %d: %w", line, err)
 		}
 		s.stamp(&f)
-		s.file(&f)
-		s.observe(&f)
+		s.commit(&f)
 	}
 	return sc.Err()
 }
@@ -566,26 +570,42 @@ type DB struct {
 // gate is a DB's attempt quarantine, the only one in the measurement
 // stack: the paper counts only the traffic of page visits that
 // completed. Both stores park attempt-tagged flows in one buffer, so an
-// attempt's flows keep their capture order across Engine and Native
+// attempt's flows keep their arrival order across Engine and Native
 // when SealAttempt commits them.
 type gate struct {
 	mu      sync.Mutex
 	pending map[int64][]*Flow
+	// closed maps each closed attempt to whether it sealed, for flows
+	// that arrive late (one entry per attempt for the DB's lifetime).
+	closed map[int64]bool
 }
 
-func (g *gate) park(f *Flow) {
+// park parks f, with the gate's reference, while its attempt is open.
+// Once the attempt has closed it leaves f alone and reports whether the
+// attempt sealed.
+func (g *gate) park(f *Flow) (closed, sealed bool) {
 	g.mu.Lock()
+	defer g.mu.Unlock()
+	if sealed, closed = g.closed[f.Attempt]; closed {
+		return closed, sealed
+	}
+	f.Ref() // the gate's reference, dropped once the attempt seals or is removed
 	if g.pending == nil {
 		g.pending = make(map[int64][]*Flow)
 	}
 	g.pending[f.Attempt] = append(g.pending[f.Attempt], f)
-	g.mu.Unlock()
+	return false, false
 }
 
-// take detaches an attempt's parked flows in capture order.
-func (g *gate) take(attempt int64) []*Flow {
+// close records whether an attempt sealed and detaches its parked flows
+// in arrival order.
+func (g *gate) close(attempt int64, sealed bool) []*Flow {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if g.closed == nil {
+		g.closed = make(map[int64]bool)
+	}
+	g.closed[attempt] = sealed
 	flows := g.pending[attempt]
 	delete(g.pending, attempt)
 	return flows
@@ -668,14 +688,15 @@ func (db *DB) commit(fs []*Flow) {
 }
 
 // SealAttempt commits a navigation attempt: its parked flows are filed
-// (or spilled) and passed to the tap in capture order, then the tap gets
-// the Seal notice. Call it once the attempt's flows have all been added
-// (the campaign's navigate is synchronous).
+// (or spilled) and passed to the tap in arrival order, then the tap gets
+// the Seal notice. The proxy files each flow before its client has the
+// response, so after a synchronous navigate only exchanges the client
+// abandoned can still arrive (see Store.Add).
 func (db *DB) SealAttempt(attempt int64) {
 	if attempt == 0 {
 		return
 	}
-	flows := db.gate.take(attempt)
+	flows := db.gate.close(attempt, true)
 	for _, f := range flows {
 		db.StoreFor(f.Origin).unpark(f)
 	}
@@ -714,15 +735,14 @@ func (db *DB) Reset() {
 }
 
 // RemoveAttempt quarantines a failed navigation attempt: its parked
-// flows are dropped before any tap, store or spill sink sees them
-// and the tap gets the Retract notice. It returns the number of flows
-// dropped. Call it once the attempt's flows have all been added (the
-// fault path quiesces the browser first).
+// flows, and any that arrive later, are dropped before any tap, store or
+// spill sink sees them, and the tap gets the Retract notice. It returns
+// the number of parked flows dropped.
 func (db *DB) RemoveAttempt(attempt int64) int {
 	if attempt == 0 {
 		return 0
 	}
-	flows := db.gate.take(attempt)
+	flows := db.gate.close(attempt, false)
 	db.drop(flows)
 	if db.tap != nil {
 		db.tap.Retract(attempt)

@@ -195,3 +195,59 @@ func TestCommitGateConcurrent(t *testing.T) {
 		t.Fatalf("resident flows %d, want %d", n, browsers*attempts/2*3)
 	}
 }
+
+// TestCommitGateLateArrivals pins the gate for flows whose exchange
+// outlived their navigation attempt, so they arrive after it closed: a
+// sealed attempt's late flow is committed once, at once, and followed by
+// another Seal; a removed attempt's late flow reaches no tap, store or
+// spill sink; neither is left parked.
+func TestCommitGateLateArrivals(t *testing.T) {
+	for _, mode := range []capture.RetainMode{capture.RetainAll, capture.RetainNone} {
+		t.Run(string(mode), func(t *testing.T) {
+			db := capture.NewDB()
+			if err := db.SetRetention(mode); err != nil {
+				t.Fatal(err)
+			}
+			var spill bytes.Buffer
+			db.Engine.SetSpill(&spill)
+			db.Native.SetSpill(&spill)
+			tap := &gateTap{}
+			db.SetTap(tap)
+
+			db.Engine.Add(&capture.Flow{ID: 1, Attempt: 7})
+			db.SealAttempt(7)
+			db.Native.Add(&capture.Flow{ID: 2, Attempt: 8})
+			db.RemoveAttempt(8)
+
+			db.Engine.Add(&capture.Flow{ID: 3, Attempt: 7})
+			late := capture.AcquireFlow()
+			late.ID, late.Host, late.Attempt = 4, "late.example", 8
+			db.Native.Add(late)
+			late.Release() // the producer is done; nothing else may hold it
+			if late.Host != "" {
+				t.Fatal("removed attempt's late flow was retained")
+			}
+
+			if got := tap.ids(); !slices.Equal(got, []int64{1, 3}) {
+				t.Fatalf("observed %v, want [1 3]", got)
+			}
+			if !slices.Equal(tap.seals, []int64{7, 7}) || !slices.Equal(tap.retracts, []int64{8}) {
+				t.Fatalf("seals %v retracts %v, want [7 7] and [8]", tap.seals, tap.retracts)
+			}
+			if e, n := db.Engine.Pending(), db.Native.Pending(); e != 0 || n != 0 {
+				t.Fatalf("parked engine/native = %d/%d, want 0/0", e, n)
+			}
+			committed := storeIDs(db.Engine)
+			if mode == capture.RetainNone {
+				back := capture.NewStore()
+				if err := back.ReadJSONL(&spill); err != nil {
+					t.Fatal(err)
+				}
+				committed = storeIDs(back)
+			}
+			if !slices.Equal(committed, []int64{1, 3}) || db.Native.Len() != 0 {
+				t.Fatalf("committed %v (native resident %d), want [1 3] and 0", committed, db.Native.Len())
+			}
+		})
+	}
+}

@@ -6,9 +6,12 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"panoptes/internal/capture"
 	"panoptes/internal/profiles"
 	"panoptes/internal/vclock"
 	"panoptes/internal/websim"
@@ -520,7 +523,8 @@ func TestHungSiteNavigationTimeout(t *testing.T) {
 	// A site whose document never finishes loading: the paper's 60-second
 	// ceiling (shrunk here) must fire and the campaign must continue.
 	release := make(chan struct{})
-	t.Cleanup(func() { close(release) })
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseOnce)
 	l, _, err := w.Inet.ListenDomain("hang.example", "US", 443)
 	if err != nil {
 		t.Fatal(err)
@@ -529,11 +533,23 @@ func TestHungSiteNavigationTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var hungRequests atomic.Int32
+	// Sized above the most hung exchanges the campaign starts (one per
+	// attempt, MaxAttempts 3), so the hook never blocks the proxy.
+	hungFinished := make(chan struct{}, 8)
 	srv := &http.Server{Handler: http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		hungRequests.Add(1)
 		<-release
 	})}
 	go srv.Serve(tls.NewListener(l, &tls.Config{Certificates: []tls.Certificate{cert}}))
 	t.Cleanup(func() { srv.Close() })
+	// Registered after the taint splitter, so it runs once the splitter
+	// has handed the finished flow to the capture gate.
+	w.Proxy.Use(responseHook(func(f *capture.Flow) {
+		if f.Host == "hang.example" {
+			hungFinished <- struct{}{}
+		}
+	}))
 
 	hung := &websim.Site{Domain: "hang.example", Category: websim.CategoryGeneral, LoadTimeMs: 100}
 	sites := []*websim.Site{hung, w.Sites[0]}
@@ -550,7 +566,39 @@ func TestHungSiteNavigationTimeout(t *testing.T) {
 	if res.Visits[1].Err != "" {
 		t.Fatalf("campaign did not recover: %+v", res.Visits[1])
 	}
+
+	// The hung exchanges outlive their removed attempts. Once the origin
+	// answers, each flow reaches the gate late and must be dropped, not
+	// parked or committed.
+	n := hungRequests.Load()
+	if n == 0 {
+		t.Fatal("the hung origin never saw a request")
+	}
+	releaseOnce()
+	timeout := time.After(10 * time.Second)
+	for i := int32(0); i < n; i++ {
+		select {
+		case <-hungFinished:
+		case <-timeout:
+			t.Fatalf("%d of %d hung exchanges finished after the release", i, n)
+		}
+	}
+	if e, nat := w.DB.Engine.Pending(), w.DB.Native.Pending(); e != 0 || nat != 0 {
+		t.Fatalf("late flows parked in the gate: engine %d native %d", e, nat)
+	}
+	for _, f := range append(w.DB.Engine.All(), w.DB.Native.All()...) {
+		if f.Host == "hang.example" {
+			t.Fatalf("a removed attempt's late flow was committed: %+v", f)
+		}
+	}
 }
+
+// responseHook is an mitm addon that calls itself from every flow's
+// Response hook.
+type responseHook func(*capture.Flow)
+
+func (responseHook) Request(*capture.Flow, *http.Request)         {}
+func (h responseHook) Response(f *capture.Flow, _ *http.Response) { h(f) }
 
 func TestVendorOutageDoesNotBreakCrawl(t *testing.T) {
 	w := smallWorld(t, 4, "Yandex")

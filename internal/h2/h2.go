@@ -323,24 +323,19 @@ func (r *Request) HTTPRequest() *http.Request {
 // Server is the accepting half of one h2 connection: it consumes the
 // client preface and SETTINGS, then surfaces requests one at a time.
 type Server struct {
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
+	br *bufio.Reader
+	bw *bufio.Writer
 
 	// open streams being assembled (headers seen, body accumulating).
 	partial map[uint32]*Request
 }
 
 // NewServer adopts an accepted connection whose ALPN negotiated h2. It
-// verifies the client preface and sends the server SETTINGS. br, when
-// non-nil, carries bytes already buffered from the connection.
-func NewServer(conn net.Conn, br *bufio.Reader) (*Server, error) {
-	if br == nil {
-		br = bufio.NewReader(conn)
-	}
-	s := &Server{conn: conn, br: br, bw: bufio.NewWriter(conn), partial: map[uint32]*Request{}}
+// verifies the client preface and sends the server SETTINGS.
+func NewServer(conn net.Conn) (*Server, error) {
+	s := &Server{br: bufio.NewReader(conn), bw: bufio.NewWriter(conn), partial: map[uint32]*Request{}}
 	buf := make([]byte, len(ClientPreface))
-	if _, err := io.ReadFull(br, buf); err != nil {
+	if _, err := io.ReadFull(s.br, buf); err != nil {
 		return nil, fmt.Errorf("h2: read preface: %w", err)
 	}
 	if string(buf) != ClientPreface {
@@ -428,29 +423,39 @@ func (s *Server) ReadRequest() (*Request, error) {
 	}
 }
 
-// WriteResponse emits a complete response for a stream: one HEADERS
-// frame (status pseudo-header plus sorted fields) and, when a body is
-// present, one DATA frame carrying it. A non-nil size receives the
-// response's wire bytes (frame headers included, the h2 analogue of an
-// h1 response serialisation count) before the first frame is written.
-func (s *Server) WriteResponse(stream uint32, status int, hdr http.Header, body []byte, size *int) error {
-	fields := append([]field{{":status", strconv.Itoa(status)}}, sortedFields(hdr)...)
-	block := encodeFields(fields)
+// Response is a response encoded for one stream: its HEADERS block
+// (status pseudo-header plus sorted fields) and its body. The encoding
+// is stateless — literal fields, no dynamic table — so a response can be
+// encoded, and its wire size known, before anything is written. Size is
+// what WriteResponse puts on the wire for it, frame headers included
+// (the h2 analogue of an h1 response serialisation count).
+type Response struct {
+	Size        int
+	block, body []byte
+}
+
+// EncodeResponse encodes a complete response.
+func EncodeResponse(status int, hdr http.Header, body []byte) Response {
+	r := Response{block: encodeFields(append([]field{{":status", strconv.Itoa(status)}}, sortedFields(hdr)...)), body: body}
+	r.Size = 9 + len(r.block)
+	if len(body) > 0 {
+		r.Size += 9 + len(body)
+	}
+	return r
+}
+
+// WriteResponse emits r on a stream: one HEADERS frame and, when a body
+// is present, one DATA frame carrying it.
+func (s *Server) WriteResponse(stream uint32, r Response) error {
 	hflags := byte(flagEndHeaders)
-	if len(body) == 0 {
+	if len(r.body) == 0 {
 		hflags |= flagEndStream
 	}
-	if size != nil {
-		*size = 9 + len(block)
-		if len(body) > 0 {
-			*size += 9 + len(body)
-		}
-	}
-	if err := writeFrame(s.bw, frameHeaders, hflags, stream, block); err != nil {
+	if err := writeFrame(s.bw, frameHeaders, hflags, stream, r.block); err != nil {
 		return err
 	}
-	if len(body) > 0 {
-		if err := writeFrame(s.bw, frameData, flagEndStream, stream, body); err != nil {
+	if len(r.body) > 0 {
+		if err := writeFrame(s.bw, frameData, flagEndStream, stream, r.body); err != nil {
 			return err
 		}
 	}
@@ -466,14 +471,6 @@ func (s *Server) WriteRST(stream uint32) error {
 		return err
 	}
 	return s.bw.Flush()
-}
-
-// Close sends GOAWAY and closes the connection.
-func (s *Server) Close() error {
-	var payload [8]byte // last stream 0, error code NO_ERROR
-	writeFrame(s.bw, frameGoAway, 0, 0, payload[:])
-	s.bw.Flush()
-	return s.conn.Close()
 }
 
 // --- Client ---
@@ -652,7 +649,7 @@ func (r *responseRecorder) Write(b []byte) (int, error) {
 // request to handler, until the peer closes. The vendor simulation uses
 // it to put real HTTP/2 framing in front of its ordinary handlers.
 func ServeConn(conn net.Conn, handler http.Handler) error {
-	s, err := NewServer(conn, nil)
+	s, err := NewServer(conn)
 	if err != nil {
 		conn.Close()
 		return err
@@ -673,7 +670,7 @@ func ServeConn(conn net.Conn, handler http.Handler) error {
 		if rec.status == 0 {
 			rec.status = http.StatusOK
 		}
-		if err := s.WriteResponse(req.Stream, rec.status, rec.hdr, rec.buf.Bytes(), nil); err != nil {
+		if err := s.WriteResponse(req.Stream, EncodeResponse(rec.status, rec.hdr, rec.buf.Bytes())); err != nil {
 			return err
 		}
 	}

@@ -140,7 +140,7 @@ func TestServerRejectsBadPreface(t *testing.T) {
 		cc.Write([]byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n"))
 		cc.Close()
 	}()
-	if _, err := NewServer(sc, nil); err == nil {
+	if _, err := NewServer(sc); err == nil {
 		t.Fatal("expected preface error")
 	}
 }

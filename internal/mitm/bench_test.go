@@ -52,7 +52,6 @@ func BenchmarkMitmBodyAlloc(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("writeResponse/body=%d", size), func(b *testing.B) {
-			p := &Proxy{Now: now}
 			b.SetBytes(int64(size))
 			b.ReportAllocs()
 			resp := &http.Response{
@@ -60,9 +59,10 @@ func BenchmarkMitmBodyAlloc(b *testing.B) {
 				Header:        http.Header{"Content-Type": {"application/json"}},
 				ContentLength: int64(size),
 			}
-			var n int
+			cio := &h1IO{conn: discardConn{}}
 			for i := 0; i < b.N; i++ {
-				if err := p.writeResponse(io.Discard, resp, payload, &n); err != nil {
+				cio.encode(resp, payload)
+				if err := cio.send(); err != nil {
 					b.Fatal(err)
 				}
 			}

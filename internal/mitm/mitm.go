@@ -15,7 +15,8 @@
 // resume via shared session-ticket keys, upstream dials resume via a
 // shared session cache and reuse pooled connections (internal/connpool),
 // flow records are reference-counted recycled structs
-// (capture.AcquireFlow), and Serve runs one accept goroutine per core.
+// (capture.AcquireFlow), and Serve hands each connection its own
+// goroutine.
 package mitm
 
 import (
@@ -124,7 +125,10 @@ func init() {
 // Addon observes and may mutate intercepted exchanges, in the manner of a
 // mitmproxy addon. Request runs after the flow is populated and before
 // the request is forwarded upstream (header mutations propagate).
-// Response runs after the upstream response arrives.
+// Response runs once per flow, when the flow is final: the proxy sets no
+// field after it and sends the client nothing before it (a WebSocket
+// upgrade's 101 excepted). resp is nil when the proxy answered itself
+// (veto, injected fault, upstream error) and for WebSocket flows.
 type Addon interface {
 	Request(f *capture.Flow, req *http.Request)
 	Response(f *capture.Flow, resp *http.Response)
@@ -152,8 +156,6 @@ type Clock func() time.Time
 type Proxy struct {
 	// CA signs the interception certificates.
 	CA *pki.CA
-	// UpstreamRoots validates real server certificates.
-	UpstreamRoots *tls.Config
 	// Dial opens upstream connections.
 	Dial Dialer
 	// Now timestamps flows.
@@ -194,7 +196,6 @@ type Proxy struct {
 	transports map[string]bool
 
 	upstreamRTT time.Duration
-	closed      atomic.Bool
 	faults      atomic.Pointer[faultsim.Injector]
 }
 
@@ -277,8 +278,7 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	p := &Proxy{CA: cfg.CA, UpstreamRoots: cfg.UpstreamRoots, Dial: cfg.Dial, Now: cfg.Now, Trace: cfg.Trace,
-		upstreamRTT: cfg.UpstreamRTT}
+	p := &Proxy{CA: cfg.CA, Dial: cfg.Dial, Now: cfg.Now, Trace: cfg.Trace, upstreamRTT: cfg.UpstreamRTT}
 	if len(cfg.Transports) > 0 {
 		p.transports = make(map[string]bool, len(cfg.Transports)+1)
 		for _, t := range cfg.Transports {
@@ -361,18 +361,8 @@ func (p *Proxy) ConnReuseStats() (reused, dialed int64) {
 	return p.connReused.Load(), p.connDialed.Load()
 }
 
-// PoolStats exposes the upstream idle-pool accounting (zero value when
-// keep-alive is disabled).
-func (p *Proxy) PoolStats() connpool.Stats {
-	if p.pool == nil {
-		return connpool.Stats{}
-	}
-	return p.pool.Stats()
-}
-
 // Close releases pooled upstream connections.
 func (p *Proxy) Close() {
-	p.closed.Store(true)
 	if p.pool != nil {
 		p.pool.CloseIdle()
 	}
@@ -522,6 +512,7 @@ func (p *Proxy) handleConn(client net.Conn) {
 // explicit-proxy client, one destination per request.
 func (p *Proxy) serveExplicitPlain(br *bufio.Reader, client net.Conn, first *http.Request, uid int) {
 	req := first
+	cio := &h1IO{conn: client}
 	for {
 		host := req.URL.Hostname()
 		port := req.URL.Port()
@@ -530,7 +521,7 @@ func (p *Proxy) serveExplicitPlain(br *bufio.Reader, client net.Conn, first *htt
 		}
 		req.Host = req.URL.Host
 		closeAfter := req.Close || strings.EqualFold(req.Header.Get("Connection"), "close")
-		if !p.serveOne(p.h1ClientIO(client), req, "http", host, port, uid, capture.TransportH1, "") || closeAfter {
+		if !p.serveOne(cio, req, "http", host, port, uid, capture.TransportH1, "") || closeAfter {
 			return
 		}
 		var err error
@@ -605,6 +596,7 @@ func (p *Proxy) leafFor(host string) (*tls.Certificate, error) {
 // client connection. A WebSocket upgrade request hands the connection
 // over to the frame-relay path and ends the HTTP loop.
 func (p *Proxy) serveHTTP(br *bufio.Reader, client net.Conn, scheme, host, port string, uid int, alpn string) {
+	cio := &h1IO{conn: client}
 	for {
 		req, err := http.ReadRequest(br)
 		if err != nil {
@@ -615,7 +607,7 @@ func (p *Proxy) serveHTTP(br *bufio.Reader, client net.Conn, scheme, host, port 
 			return
 		}
 		closeAfter := req.Close || strings.EqualFold(req.Header.Get("Connection"), "close")
-		if !p.serveOne(p.h1ClientIO(client), req, scheme, host, port, uid, capture.TransportH1, alpn) || closeAfter {
+		if !p.serveOne(cio, req, scheme, host, port, uid, capture.TransportH1, alpn) || closeAfter {
 			return
 		}
 	}
@@ -624,10 +616,11 @@ func (p *Proxy) serveHTTP(br *bufio.Reader, client net.Conn, scheme, host, port 
 // serveH2 handles one h2-negotiated client connection: sequential
 // streams, each one exchange through the same addon/forward path as h1.
 func (p *Proxy) serveH2(tc net.Conn, host, port string, uid int) {
-	srv, err := h2.NewServer(tc, nil)
+	srv, err := h2.NewServer(tc)
 	if err != nil {
 		return
 	}
+	cio := &h2IO{srv: srv}
 	for {
 		hreq, err := srv.ReadRequest()
 		if err != nil {
@@ -635,56 +628,85 @@ func (p *Proxy) serveH2(tc net.Conn, host, port string, uid int) {
 		}
 		req := hreq.HTTPRequest()
 		req.RemoteAddr = tc.RemoteAddr().String()
-		if !p.serveOne(h2ClientIO(srv, hreq.Stream), req, "https", host, port, uid, capture.TransportH2, h2.ProtoName) {
+		cio.stream = hreq.Stream
+		if !p.serveOne(cio, req, "https", host, port, uid, capture.TransportH2, h2.ProtoName) {
 			return
 		}
 	}
 }
 
-// clientIO abstracts the client-facing write half of one exchange so
-// serveOne stays framing-agnostic: h1 writes wire text, h2 writes
-// frames on the exchange's stream.
-type clientIO struct {
-	// respondError writes a short plain-text response (veto, injected
-	// fault, upstream error).
-	respondError func(status int, body string) error
-	// respond writes the full proxied response, storing its wire bytes
-	// in *size before the first byte reaches the client.
-	respond func(resp *http.Response, body []byte, size *int) error
+// clientIO is the client-facing write half of one connection, so
+// serveOne stays framing-agnostic: h1 writes wire text, h2 writes frames
+// on the exchange's stream. encode only renders; every write happens
+// after the exchange's Response hooks.
+type clientIO interface {
+	// encode renders a response for send and returns its wire size.
+	encode(resp *http.Response, body []byte) int
+	// send writes the response encode rendered.
+	send() error
 	// reset aborts the exchange abruptly for the stream_reset fault: h1
 	// promises body bytes and drops the connection, h2 sends RST_STREAM.
-	reset func()
+	reset()
 }
 
-func (p *Proxy) h1ClientIO(client net.Conn) clientIO {
-	return clientIO{
-		respondError: func(status int, body string) error {
-			_, err := fmt.Fprintf(client,
-				"HTTP/1.1 %d %s\r\nContent-Length: %d\r\nContent-Type: text/plain\r\n\r\n%s",
-				status, http.StatusText(status), len(body), body)
-			return err
-		},
-		respond: func(resp *http.Response, body []byte, size *int) error {
-			return p.writeResponse(client, resp, body, size)
-		},
-		reset: func() {
-			// Promise 1000 body bytes, deliver a few, drop the connection:
-			// the client's body read dies with an unexpected EOF.
-			fmt.Fprint(client, "HTTP/1.1 200 OK\r\nContent-Length: 1000\r\n\r\npartial")
-		},
+// h1IO answers the exchanges of an HTTP/1.1 client connection.
+type h1IO struct {
+	conn net.Conn
+	head *bytes.Buffer // the head encode rendered, pooled until send
+	body []byte
+}
+
+func (c *h1IO) encode(resp *http.Response, body []byte) int {
+	c.head = bodyPool.Get(512)
+	c.body = body
+	writeResponseHead(c.head, resp, len(body))
+	return c.head.Len() + len(body)
+}
+
+func (c *h1IO) send() error {
+	_, err := c.conn.Write(c.head.Bytes())
+	if err == nil {
+		_, err = c.conn.Write(c.body)
 	}
+	bodyPool.Put(c.head)
+	c.head, c.body = nil, nil
+	return err
 }
 
-func h2ClientIO(srv *h2.Server, stream uint32) clientIO {
-	return clientIO{
-		respondError: func(status int, body string) error {
-			hdr := http.Header{"Content-Type": []string{"text/plain"}}
-			return srv.WriteResponse(stream, status, hdr, []byte(body), nil)
-		},
-		respond: func(resp *http.Response, body []byte, size *int) error {
-			return srv.WriteResponse(stream, resp.StatusCode, resp.Header, body, size)
-		},
-		reset: func() { srv.WriteRST(stream) },
+func (c *h1IO) reset() {
+	// Promise 1000 body bytes, deliver a few, drop the connection: the
+	// client's body read dies with an unexpected EOF.
+	fmt.Fprint(c.conn, "HTTP/1.1 200 OK\r\nContent-Length: 1000\r\n\r\npartial")
+}
+
+// h2IO answers the current stream of an h2 client connection.
+type h2IO struct {
+	srv    *h2.Server
+	stream uint32
+	resp   h2.Response // what encode rendered, until send
+}
+
+func (c *h2IO) encode(resp *http.Response, body []byte) int {
+	c.resp = h2.EncodeResponse(resp.StatusCode, resp.Header, body)
+	return c.resp.Size
+}
+
+func (c *h2IO) send() error { return c.srv.WriteResponse(c.stream, c.resp) }
+
+func (c *h2IO) reset() { c.srv.WriteRST(c.stream) }
+
+// sendText sends the proxy's own short plain-text answer (veto, injected
+// fault, upstream error) and reports whether it was written.
+func sendText(cio clientIO, status int, text string) bool {
+	cio.encode(&http.Response{StatusCode: status, Header: http.Header{"Content-Type": {"text/plain"}}}, []byte(text))
+	return cio.send() == nil
+}
+
+// finish runs the Response hooks of a final flow; after it the proxy
+// only releases its reference.
+func finish(addons []Addon, f *capture.Flow, resp *http.Response) {
+	for _, a := range addons {
+		a.Response(f, resp)
 	}
 }
 
@@ -692,81 +714,42 @@ func h2ClientIO(srv *h2.Server, stream uint32) clientIO {
 // the client's upgrade, opens its own upstream WebSocket over a fresh
 // (never pooled) connection, and relays messages strictly sequentially
 // — one client frame forwarded, one upstream ack relayed back. The
-// upgrade handshake is captured as a Status-101 flow; every
-// client-originated frame becomes its own flow record (Method "WS",
-// body = frame payload) so frame-borne telemetry is visible to the same
-// analyses as any HTTP beacon.
+// upgrade handshake is captured as a Status-101 flow once the client's
+// handshake succeeded (a rejected upgrade keeps Status 0 and its Err);
+// every client-originated frame becomes its own flow record (Method
+// "WS", body = frame payload) so frame-borne telemetry is visible to the
+// same analyses as any HTTP beacon. A frame's flow is finished when the
+// upstream ack is in, before the ack is relayed back.
 func (p *Proxy) serveWS(client net.Conn, br *bufio.Reader, req *http.Request, scheme, host, port string, uid int, alpn string) {
 	upFlow, reqBody := p.buildFlow(req, scheme, host, uid, capture.TransportWS, alpn)
 	defer upFlow.Release()
-	if reqBody != nil {
-		defer bodyPool.Put(reqBody)
-	}
+	defer bodyPool.Put(reqBody)
 	addons := p.addonList()
 	for _, a := range addons {
 		a.Request(upFlow, req)
 	}
 
-	fail := func(err error) {
+	up, err := p.dialWS(req, scheme, host, port)
+	var cc *ws.Conn
+	if err != nil {
 		mUpstreamErr.Inc()
 		upFlow.Status = http.StatusBadGateway
+	} else if cc, err = ws.Accept(client, br, req); err == nil {
+		upFlow.Status = http.StatusSwitchingProtocols
+	}
+	if err != nil {
 		upFlow.Err = err.Error()
-		for _, a := range addons {
-			a.Response(upFlow, nil)
-		}
-		body := "panoptes-mitm: upstream error: " + err.Error()
-		fmt.Fprintf(client, "HTTP/1.1 502 Bad Gateway\r\nContent-Length: %d\r\nContent-Type: text/plain\r\n\r\n%s",
-			len(body), body)
 	}
-
-	authority := req.Host
-	if authority == "" {
-		authority = net.JoinHostPort(host, port)
-	}
-	dialAddr := authority
-	if !strings.Contains(dialAddr, ":") {
-		if scheme == "https" {
-			dialAddr += ":443"
-		} else {
-			dialAddr += ":80"
-		}
-	}
-	// WebSocket upstreams speak h1 framing under the upgrade — never
-	// offer h2 — and the long-lived connection is not pool material.
-	upConn, _, err := p.dialUpstream(scheme, dialAddr, []string{"http/1.1"})
-	if err != nil {
-		fail(fmt.Errorf("mitm: upstream %s: %w", authority, err))
-		return
-	}
-	wsScheme := "ws"
-	if scheme == "https" {
-		wsScheme = "wss"
-	}
-	up, err := ws.Dial(wsScheme+"://"+authority+req.URL.RequestURI(), func(string) (net.Conn, error) {
-		return upConn, nil
-	})
-	if err != nil {
-		upConn.Close()
-		fail(fmt.Errorf("mitm: upstream %s: %w", authority, err))
+	finish(addons, upFlow, nil)
+	if up == nil {
+		sendText(&h1IO{conn: client}, http.StatusBadGateway, "panoptes-mitm: upstream error: "+err.Error())
 		return
 	}
 	defer up.Close()
-
-	// Status is set before the 101 reaches the client, like RespBytes in
-	// serveOne: the flow must be final once the client can move on.
-	upFlow.Status = http.StatusSwitchingProtocols
-	cc, err := ws.Accept(client, br, req)
-	if err != nil {
-		upFlow.Status, upFlow.Err = 0, err.Error()
-		for _, a := range addons {
-			a.Response(upFlow, nil)
-		}
+	if cc == nil {
 		return
 	}
 	defer cc.Close()
-	for _, a := range addons {
-		a.Response(upFlow, nil)
-	}
 
 	for {
 		op, msg, err := cc.ReadMessage()
@@ -777,32 +760,47 @@ func (p *Proxy) serveWS(client net.Conn, br *bufio.Reader, req *http.Request, sc
 		for _, a := range addons {
 			a.Request(ff, req)
 		}
-		if err := up.WriteMessage(op, msg); err != nil {
-			ff.Err = err.Error()
-			for _, a := range addons {
-				a.Response(ff, nil)
-			}
-			ff.Release()
-			return
+		var ackOp ws.Opcode
+		var ack []byte
+		if err = up.WriteMessage(op, msg); err == nil {
+			ackOp, ack, err = up.ReadMessage()
 		}
-		ackOp, ack, err := up.ReadMessage()
 		if err != nil {
 			ff.Err = err.Error()
 		} else {
 			ff.Status = http.StatusOK
 			ff.RespBytes = len(ack)
-			if werr := cc.WriteMessage(ackOp, ack); werr != nil {
-				ff.Err = werr.Error()
-			}
 		}
-		for _, a := range addons {
-			a.Response(ff, nil)
-		}
+		finish(addons, ff, nil)
 		ff.Release()
-		if err != nil {
+		if err != nil || cc.WriteMessage(ackOp, ack) != nil {
 			return
 		}
 	}
+}
+
+// dialWS opens the upstream half of an intercepted WebSocket. WebSocket
+// upstreams speak h1 framing under the upgrade — never offer h2 — and
+// the long-lived connection is not pool material, so it is always a
+// fresh dial.
+func (p *Proxy) dialWS(req *http.Request, scheme, host, port string) (*ws.Conn, error) {
+	authority, dialAddr := upstreamAddr(req, scheme, host, port)
+	upConn, _, err := p.dialUpstream(scheme, dialAddr, []string{"http/1.1"})
+	if err != nil {
+		return nil, fmt.Errorf("mitm: upstream %s: %w", authority, err)
+	}
+	wsScheme := "ws"
+	if scheme == "https" {
+		wsScheme = "wss"
+	}
+	up, err := ws.Dial(wsScheme+"://"+authority+req.URL.RequestURI(), func(string) (net.Conn, error) {
+		return upConn, nil
+	})
+	if err != nil {
+		upConn.Close()
+		return nil, fmt.Errorf("mitm: upstream %s: %w", authority, err)
+	}
+	return up, nil
 }
 
 // buildWSFrameFlow populates a pooled Flow for one client-originated
@@ -810,30 +808,16 @@ func (p *Proxy) serveWS(client net.Conn, br *bufio.Reader, req *http.Request, sc
 // the endpoint the payload travels to); Method "WS" distinguishes frame
 // records from the upgrade GET.
 func (p *Proxy) buildWSFrameFlow(req *http.Request, scheme, host string, uid int, payload []byte, alpn string) *capture.Flow {
-	f := capture.AcquireFlow()
-	f.ID = capture.NextFlowID()
-	f.Time = p.Now()
-	f.BrowserUID = uid
-	f.Method = "WS"
-	f.Scheme = scheme
-	f.Transport = capture.TransportWS
-	f.ALPN = alpn
-	f.Host = hostOnly(req, host)
-	f.Path = req.URL.Path
-	f.RawQuery = req.URL.RawQuery
+	f := p.newFlow(req, "WS", scheme, host, uid, capture.TransportWS, alpn)
 	f.Headers = cloneHeaderInto(f.Headers, nil)
-	capped := len(payload)
-	if capped > capture.MaxBodyCapture {
-		capped = capture.MaxBodyCapture
-	}
-	f.Body = append(f.Body[:0], payload[:capped]...)
+	f.Body = capBody(f.Body, payload)
 	f.ReqBytes = len(payload) + 6 // payload + frame header incl. mask key
-	countTransportFlow(capture.TransportWS)
 	return f
 }
 
 // serveOne processes a single exchange; it reports whether the client
-// connection can be reused.
+// connection can be reused. answer sets the flow's last fields, the
+// Response hooks run, and only then does the client get its answer.
 func (p *Proxy) serveOne(cio clientIO, req *http.Request, scheme, host, port string, uid int, transport, alpn string) bool {
 	wallStart := time.Now()
 	defer func() { mReqLatency.Observe(time.Since(wallStart).Seconds()) }()
@@ -853,11 +837,9 @@ func (p *Proxy) serveOne(cio clientIO, req *http.Request, scheme, host, port str
 	// retainer that outlives the exchange (commit gate, store,
 	// export batches) holds its own reference by then.
 	defer flow.Release()
-	if reqBody != nil {
-		// The replay reader handed to forward aliases this buffer;
-		// recycle it only once the exchange is over.
-		defer bodyPool.Put(reqBody)
-	}
+	// The replay reader handed to forward aliases the request body
+	// buffer; recycle it only once the exchange is over.
+	defer bodyPool.Put(reqBody)
 	mBytesUp.Add(int64(flow.ReqBytes))
 
 	addons := p.addonList()
@@ -867,6 +849,23 @@ func (p *Proxy) serveOne(cio clientIO, req *http.Request, scheme, host, port str
 	}
 	splitSpan.SetAttr("origin", string(flow.Origin))
 	splitSpan.End()
+
+	resp, respBody, own := p.answer(cio, flow, req, addons, sp, scheme, host, port, uid)
+	finish(addons, flow, resp)
+	if own != nil {
+		return own()
+	}
+	err := cio.send()
+	bodyPool.Put(respBody)
+	return err == nil
+}
+
+// answer runs the veto pass, armed flow faults and the upstream round
+// trip, and sets the flow's final Status, Err and RespBytes without
+// writing to the client. It returns the upstream response, rendered by
+// cio for send, and its pooled body; or own, the proxy's own answer,
+// which reports whether the client connection can be reused.
+func (p *Proxy) answer(cio clientIO, flow *capture.Flow, req *http.Request, addons []Addon, sp *obs.Span, scheme, host, port string, uid int) (resp *http.Response, body *bytes.Buffer, own func() bool) {
 	// Veto pass: any vetoing addon blocks the exchange at the proxy.
 	for _, a := range addons {
 		v, ok := a.(Vetoer)
@@ -878,17 +877,14 @@ func (p *Proxy) serveOne(cio clientIO, req *http.Request, scheme, host, port str
 			sp.SetAttr("result", "vetoed")
 			flow.Status = http.StatusForbidden
 			flow.Err = "vetoed: " + err.Error()
-			for _, a2 := range addons {
-				a2.Response(flow, nil)
-			}
-			werr := cio.respondError(http.StatusForbidden, "panoptes-mitm: blocked: "+err.Error())
-			return werr == nil
+			return nil, nil, func() bool { return sendText(cio, http.StatusForbidden, "panoptes-mitm: blocked: "+err.Error()) }
 		}
 	}
 
-	// Armed flow faults fire after capture (the flow is already in the DB, so a
-	// failed attempt's traffic can be quarantined by attempt tag) but
-	// before forwarding, standing in for a misbehaving origin.
+	// Armed flow faults fire after the Request hooks have tagged the flow
+	// with its attempt (so a failed attempt's traffic is quarantined by
+	// that tag when it commits) but before forwarding, standing in for a
+	// misbehaving origin.
 	if kind, ok := p.faultsInj().FlowFault(uid, flow.Host); ok {
 		switch kind {
 		case faultsim.SlowResponse:
@@ -899,60 +895,42 @@ func (p *Proxy) serveOne(cio clientIO, req *http.Request, scheme, host, port str
 			sp.SetAttr("result", "fault:http_5xx")
 			flow.Status = http.StatusInternalServerError
 			flow.Err = "faultsim: injected http_5xx"
-			for _, a := range addons {
-				a.Response(flow, nil)
+			return nil, nil, func() bool {
+				sendText(cio, http.StatusInternalServerError, "panoptes-faultsim: injected 500")
+				return false
 			}
-			cio.respondError(http.StatusInternalServerError, "panoptes-faultsim: injected 500")
-			return false
 		case faultsim.StreamReset:
 			sp.SetAttr("result", "fault:stream_reset")
 			flow.Status = http.StatusOK
 			flow.Err = "faultsim: injected stream_reset"
-			for _, a := range addons {
-				a.Response(flow, nil)
-			}
-			cio.reset()
-			return false
+			return nil, nil, func() bool { cio.reset(); return false }
 		default: // faultsim.ReadTimeout
 			// The origin never answers: no response bytes, connection
 			// dropped, so the client errors out reading the response.
 			sp.SetAttr("result", "fault:read_timeout")
 			flow.Err = "faultsim: injected read_timeout"
-			for _, a := range addons {
-				a.Response(flow, nil)
-			}
-			return false
+			return nil, nil, func() bool { return false }
 		}
 	}
 
 	fwdSpan := sp.Child("mitm.forward")
-	resp, respBody, err := p.forward(req, scheme, host, port)
+	resp, body, err := p.forward(req, scheme, host, port)
 	fwdSpan.End()
 	if err != nil {
 		mUpstreamErr.Inc()
 		sp.SetAttr("result", "upstream-error")
 		flow.Status = http.StatusBadGateway
 		flow.Err = err.Error()
-		for _, a := range addons {
-			a.Response(flow, nil)
+		return nil, nil, func() bool {
+			sendText(cio, http.StatusBadGateway, "panoptes-mitm: upstream error: "+err.Error())
+			return false
 		}
-		cio.respondError(http.StatusBadGateway, "panoptes-mitm: upstream error: "+err.Error())
-		return false
 	}
-
 	flow.Status = resp.StatusCode
-	for _, a := range addons {
-		a.Response(flow, resp)
-	}
-
-	// The flow is final before the client sees a byte: once the client
-	// has its response its attempt can seal, and the sealed flow goes
-	// to taps and sinks on another goroutine.
-	werr := cio.respond(resp, respBody.Bytes(), &flow.RespBytes)
-	bodyPool.Put(respBody)
+	flow.RespBytes = cio.encode(resp, body.Bytes())
 	mBytesDown.Add(int64(flow.RespBytes))
 	sp.SetAttr("status", fmt.Sprint(resp.StatusCode))
-	return werr == nil
+	return resp, body, nil
 }
 
 // dohContentType is the RFC 8484 media type; a request carrying or
@@ -975,21 +953,10 @@ func isDoHRequest(req *http.Request) bool {
 // of the client connection; a DoH message is re-tagged as its own
 // transport (the framing stays visible in ALPN).
 func (p *Proxy) buildFlow(req *http.Request, scheme, host string, uid int, transport, alpn string) (*capture.Flow, *bytes.Buffer) {
-	f := capture.AcquireFlow()
-	f.ID = capture.NextFlowID()
-	f.Time = p.Now()
-	f.BrowserUID = uid
-	f.Method = req.Method
-	f.Scheme = scheme
-	f.Transport = transport
-	f.ALPN = alpn
 	if p.transportEnabled(capture.TransportDoH) && isDoHRequest(req) {
-		f.Transport = capture.TransportDoH
+		transport = capture.TransportDoH
 	}
-	countTransportFlow(f.Transport)
-	f.Host = hostOnly(req, host)
-	f.Path = req.URL.Path
-	f.RawQuery = req.URL.RawQuery
+	f := p.newFlow(req, req.Method, scheme, host, uid, transport, alpn)
 	f.Headers = cloneHeaderInto(f.Headers, req.Header)
 
 	// Wire-size estimate: request line + headers + body.
@@ -1006,16 +973,35 @@ func (p *Proxy) buildFlow(req *http.Request, scheme, host string, uid int, trans
 		req.Body.Close()
 		body := bb.Bytes()
 		size += len(body)
-		capped := len(body)
-		if capped > capture.MaxBodyCapture {
-			capped = capture.MaxBodyCapture
-		}
-		f.Body = append(f.Body[:0], body[:capped]...)
+		f.Body = capBody(f.Body, body)
 		req.Body = io.NopCloser(bytes.NewReader(body))
 		req.ContentLength = int64(len(body))
 	}
 	f.ReqBytes = size
 	return f, bb
+}
+
+// newFlow acquires a pooled Flow stamped with its ID, capture time, UID
+// and request line: the fields every record of an exchange shares.
+func (p *Proxy) newFlow(req *http.Request, method, scheme, host string, uid int, transport, alpn string) *capture.Flow {
+	f := capture.AcquireFlow()
+	f.ID = capture.NextFlowID()
+	f.Time = p.Now()
+	f.BrowserUID = uid
+	f.Method = method
+	f.Scheme = scheme
+	f.Transport = transport
+	f.ALPN = alpn
+	f.Host = hostOnly(req, host)
+	f.Path = req.URL.Path
+	f.RawQuery = req.URL.RawQuery
+	countTransportFlow(transport)
+	return f
+}
+
+// capBody stores the capture-capped prefix of body in dst's storage.
+func capBody(dst, body []byte) []byte {
+	return append(dst[:0], body[:min(len(body), capture.MaxBodyCapture)]...)
 }
 
 // requestURILen estimates the wire length of the request-URI without
@@ -1090,20 +1076,7 @@ func hostOnly(req *http.Request, fallback string) string {
 // both protocols and files the connection under whichever the origin
 // picked.
 func (p *Proxy) forward(req *http.Request, scheme, host, port string) (*http.Response, *bytes.Buffer, error) {
-	authority := req.Host
-	if authority == "" {
-		authority = net.JoinHostPort(host, port)
-	} else if !strings.Contains(authority, ":") && !isDefaultPort(scheme, port) {
-		authority = net.JoinHostPort(authority, port)
-	}
-	dialAddr := authority
-	if !strings.Contains(dialAddr, ":") {
-		if scheme == "https" {
-			dialAddr += ":443"
-		} else {
-			dialAddr += ":80"
-		}
-	}
+	authority, dialAddr := upstreamAddr(req, scheme, host, port)
 
 	// Buffer the request body once; every attempt (h1 serialisation or
 	// h2 RoundTrip) replays the same bytes.
@@ -1212,22 +1185,28 @@ func (p *Proxy) exchange(pc connpool.Entry, key string, raw []byte, req *http.Re
 		pc.Conn.Close()
 		return nil, nil, err
 	}
+	bb, err := readBody(resp)
+	if err != nil {
+		pc.Conn.Close()
+		return nil, nil, err
+	}
+	if p.pool == nil || resp.Close || !resp.ProtoAtLeast(1, 1) || !p.pool.Put(key, pc.Conn, pc.R) {
+		pc.Conn.Close()
+	}
+	return resp, bb, nil
+}
+
+// readBody reads resp's body into a pooled buffer and re-points
+// resp.Body at the buffered bytes.
+func readBody(resp *http.Response) (*bytes.Buffer, error) {
 	bb := getBody(resp.ContentLength)
 	if _, err := io.Copy(bb, io.LimitReader(resp.Body, 64<<20)); err != nil {
 		bodyPool.Put(bb)
-		pc.Conn.Close()
-		return nil, nil, fmt.Errorf("read body: %w", err)
+		return nil, fmt.Errorf("read body: %w", err)
 	}
 	resp.Body.Close()
-	if p.pool != nil && !resp.Close && resp.ProtoAtLeast(1, 1) {
-		if !p.pool.Put(key, pc.Conn, pc.R) {
-			pc.Conn.Close()
-		}
-	} else {
-		pc.Conn.Close()
-	}
 	resp.Body = io.NopCloser(bytes.NewReader(bb.Bytes()))
-	return resp, bb, nil
+	return bb, nil
 }
 
 // exchangeH2 performs one round trip on a pooled h2 upstream session.
@@ -1249,17 +1228,14 @@ func (p *Proxy) exchangeH2(pc connpool.Entry, key string, req *http.Request, bod
 		pc.Conn.Close()
 		return nil, nil, err
 	}
-	bb := getBody(resp.ContentLength)
-	if _, err := io.Copy(bb, io.LimitReader(resp.Body, 64<<20)); err != nil {
-		bodyPool.Put(bb)
+	bb, err := readBody(resp)
+	if err != nil {
 		pc.Conn.Close()
-		return nil, nil, fmt.Errorf("read body: %w", err)
+		return nil, nil, err
 	}
-	resp.Body.Close()
 	if p.pool == nil || !p.pool.PutEntry(key, pc) {
 		pc.Conn.Close()
 	}
-	resp.Body = io.NopCloser(bytes.NewReader(bb.Bytes()))
 	return resp, bb, nil
 }
 
@@ -1356,17 +1332,32 @@ func hopByHop(k string) bool {
 	return false
 }
 
+// upstreamAddr derives an exchange's upstream authority (the Host the
+// origin sees) and dial address from the request's Host and the
+// connection's original destination.
+func upstreamAddr(req *http.Request, scheme, host, port string) (authority, dialAddr string) {
+	authority = req.Host
+	if authority == "" {
+		authority = net.JoinHostPort(host, port)
+	} else if !strings.Contains(authority, ":") && !isDefaultPort(scheme, port) {
+		authority = net.JoinHostPort(authority, port)
+	}
+	dialAddr = authority
+	if !strings.Contains(dialAddr, ":") {
+		dialAddr = net.JoinHostPort(dialAddr, port) // port is the scheme's default here
+	}
+	return authority, dialAddr
+}
+
 func isDefaultPort(scheme, port string) bool {
 	return (scheme == "http" && port == "80") || (scheme == "https" && port == "443")
 }
 
-// writeResponse serialises the response head and the already-read body
-// to the client, storing the wire byte count in *size before the first
-// write. Headers go out in map order — the count (what flow.RespBytes
-// records) is order-independent, so flows stay deterministic.
-func (p *Proxy) writeResponse(w io.Writer, resp *http.Response, body []byte, size *int) error {
-	hb := bodyPool.Get(512)
-	defer bodyPool.Put(hb)
+// writeResponseHead serialises an HTTP/1.1 response head for a body of
+// n bytes into hb. Headers go out in map order — the head's length
+// (part of what flow.RespBytes records) is order-independent, so flows
+// stay deterministic.
+func writeResponseHead(hb *bytes.Buffer, resp *http.Response, n int) {
 	var tmp [20]byte
 	hb.WriteString("HTTP/1.1 ")
 	hb.Write(strconv.AppendInt(tmp[:0], int64(resp.StatusCode), 10))
@@ -1385,18 +1376,6 @@ func (p *Proxy) writeResponse(w io.Writer, resp *http.Response, body []byte, siz
 		}
 	}
 	hb.WriteString("Content-Length: ")
-	hb.Write(strconv.AppendInt(tmp[:0], int64(len(body)), 10))
+	hb.Write(strconv.AppendInt(tmp[:0], int64(n), 10))
 	hb.WriteString("\r\n\r\n")
-	*size = hb.Len() + len(body)
-	if _, err := w.Write(hb.Bytes()); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
-// ParseURL is a small helper exposed for addons that need to re-parse a
-// flow's URL.
-func ParseURL(f *capture.Flow) (*url.URL, error) {
-	return url.Parse(f.URL())
 }

@@ -625,3 +625,66 @@ func TestExplicitProxyRejectsNonConnect(t *testing.T) {
 		t.Fatalf("response = %q", buf[:n])
 	}
 }
+
+// commitProbe runs after the taint splitter and records, for each flow,
+// how many flows the DB had filed when its Request and its Response
+// hooks ran, and the Status the Response hook saw.
+type commitProbe struct {
+	db       *capture.DB
+	mu       sync.Mutex
+	atReq    []int64
+	atResp   []int64
+	statuses []int
+}
+
+func (c *commitProbe) filed() int64 { return c.db.Engine.Seen() + c.db.Native.Seen() }
+
+func (c *commitProbe) Request(f *capture.Flow, req *http.Request) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.atReq = append(c.atReq, c.filed())
+}
+
+func (c *commitProbe) Response(f *capture.Flow, resp *http.Response) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.atResp = append(c.atResp, c.filed())
+	c.statuses = append(c.statuses, f.Status)
+}
+
+// TestSplitterFilesOnResponse pins the commit point: the splitter's
+// Request hook files nothing, its Response hook files the finished flow
+// once, and the flow's Status is final by then — for a proxied
+// response, an upstream failure and a veto alike.
+func TestSplitterFilesOnResponse(t *testing.T) {
+	r := newRig(t, nil)
+	r.inet.RegisterDomain("dead.example", "US")
+	probe := &commitProbe{db: r.db}
+	r.proxy.Use(probe)
+	r.proxy.Use(&vetoAddon{})
+	client := r.appClient()
+
+	want := []int{http.StatusOK, http.StatusBadGateway, http.StatusForbidden}
+	for _, u := range []string{"https://site.example/ok", "https://dead.example/", "https://site.example/tracker"} {
+		resp, err := client.Get(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	probe.mu.Lock()
+	defer probe.mu.Unlock()
+	for i, status := range want {
+		if probe.atReq[i] != int64(i) || probe.atResp[i] != int64(i+1) {
+			t.Errorf("flow %d: %d filed at Request, %d at Response; want %d and %d",
+				i, probe.atReq[i], probe.atResp[i], i, i+1)
+		}
+		if probe.statuses[i] != status {
+			t.Errorf("flow %d: Response saw status %d, want %d", i, probe.statuses[i], status)
+		}
+	}
+	if n := r.db.Native.Len(); n != len(want) || probe.filed() != int64(len(want)) {
+		t.Fatalf("native %d, filed %d; want %d each", n, probe.filed(), len(want))
+	}
+}

@@ -4,15 +4,15 @@
 // Frida hook for browsers without CDP); the MITM proxy's splitting addon
 // then classifies each intercepted request — tainted means the website
 // generated it, untainted means the browser app generated it natively —
-// strips the marker, and files the flow into the engine or native
-// database.
+// strips the marker, and, once the exchange has finished, files the flow
+// into the engine or native database.
 package taint
 
 import (
 	"crypto/rand"
 	"encoding/hex"
 	"net/http"
-	"sync"
+	"sync/atomic"
 
 	"panoptes/internal/capture"
 	"panoptes/internal/cdp"
@@ -56,14 +56,14 @@ func InjectCDP(orig map[string]string, token string) []cdp.HeaderEntry {
 // SplitterAddon is the custom MITM addon: it inspects every intercepted
 // request, classifies it by the taint header, strips the header before
 // the request is forwarded to its original destination, annotates the
-// flow with the active visit, and stores it in the matching database.
+// flow with the active visit, and, once the exchange has finished,
+// stores it in the matching database.
 type SplitterAddon struct {
 	Token  string
 	DB     *capture.DB
 	Visits *capture.VisitContext
 
-	mu         sync.Mutex
-	mismatched int // tainted header present but wrong token
+	mismatched atomic.Int64 // tainted header present but wrong token
 }
 
 // NewSplitter builds the addon.
@@ -71,7 +71,9 @@ func NewSplitter(token string, db *capture.DB, visits *capture.VisitContext) *Sp
 	return &SplitterAddon{Token: token, DB: db, Visits: visits}
 }
 
-// Request implements mitm.Addon.
+// Request implements mitm.Addon. It fixes everything the flow's commit
+// depends on at request time — origin, visit and attempt — and files
+// nothing.
 func (a *SplitterAddon) Request(f *capture.Flow, req *http.Request) {
 	val := req.Header.Get(HeaderName)
 	switch {
@@ -79,9 +81,7 @@ func (a *SplitterAddon) Request(f *capture.Flow, req *http.Request) {
 		f.Origin = capture.OriginEngine
 	case val != "":
 		// A forged or stale taint: treat as native but count it.
-		a.mu.Lock()
-		a.mismatched++
-		a.mu.Unlock()
+		a.mismatched.Add(1)
 		f.Origin = capture.OriginNative
 	default:
 		f.Origin = capture.OriginNative
@@ -99,17 +99,13 @@ func (a *SplitterAddon) Request(f *capture.Flow, req *http.Request) {
 		f.Incognito = v.Incognito
 		f.Attempt = v.Attempt
 	}
+}
+
+// Response implements mitm.Addon: the flow is final, so it is filed.
+func (a *SplitterAddon) Response(f *capture.Flow, resp *http.Response) {
 	a.DB.StoreFor(f.Origin).Add(f)
 }
 
-// Response implements mitm.Addon; the splitter classifies on requests
-// only.
-func (a *SplitterAddon) Response(f *capture.Flow, resp *http.Response) {}
-
 // Mismatched reports how many requests carried a non-campaign taint
 // value.
-func (a *SplitterAddon) Mismatched() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.mismatched
-}
+func (a *SplitterAddon) Mismatched() int { return int(a.mismatched.Load()) }

@@ -92,8 +92,19 @@ func TestSplitterClassification(t *testing.T) {
 		t.Fatalf("forged origin = %s mismatched = %d", f3.Origin, s.Mismatched())
 	}
 
+	// Request classifies only; the finished exchange is filed by
+	// Response, once, in the store its origin names.
+	if db.Engine.Seen() != 0 || db.Native.Seen() != 0 {
+		t.Fatalf("Request filed flows: engine=%d native=%d", db.Engine.Seen(), db.Native.Seen())
+	}
+	for _, f := range []*capture.Flow{f1, f2, f3} {
+		s.Response(f, nil)
+	}
 	if db.Engine.Len() != 1 || db.Native.Len() != 2 {
 		t.Fatalf("engine=%d native=%d", db.Engine.Len(), db.Native.Len())
+	}
+	if db.Engine.All()[0] != f1 {
+		t.Fatal("the tainted flow was not filed as engine traffic")
 	}
 }
 
@@ -103,8 +114,11 @@ func TestSplitterNilVisits(t *testing.T) {
 	f := &capture.Flow{BrowserUID: 1}
 	req, _ := http.NewRequest("GET", "https://x.example/", nil)
 	s.Request(f, req) // must not panic
-	if db.Native.Len() != 1 {
-		t.Fatal("flow not stored")
+	if db.Native.Len() != 0 {
+		t.Fatal("flow stored before its exchange finished")
 	}
-	s.Response(f, nil) // no-op
+	s.Response(f, nil)
+	if db.Native.Len() != 1 || f.Browser != "" || f.Attempt != 0 {
+		t.Fatalf("native=%d flow=%+v, want one unannotated flow", db.Native.Len(), f)
+	}
 }

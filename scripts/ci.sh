@@ -36,14 +36,22 @@ go test -race ./internal/webengine/...
 
 echo "==> go test -race (core, leak, pipeline, analysis, fabric: concurrent scheduler + streaming analyzers)"
 # The analyzers and the fabric shipper observe sealed attempts from the
-# campaign goroutine while proxy goroutines commit untagged flows, and
-# the pipeline folds batches from several committing goroutines at once
+# campaign goroutine while proxy goroutines commit finished untagged
+# flows from the taint splitter's Response hook, and the pipeline folds
+# batches from several committing goroutines at once
 # (TestObserveAllConcurrent). -p 1
 # runs the packages one at a time: the fabric's lease janitor expires
 # leases on wall-clock silence, and competing race-instrumented packages
 # can starve a worker's heartbeat pump past StaleAfter.
 go test -race -p 1 ./internal/core/... ./internal/leak/... ./internal/pipeline/... \
     ./internal/analysis/... ./internal/fabric/...
+
+echo "==> untagged flows export final (h1/h2/ws through the proxy and splitter into an encoding exporter under -race, 20 times)"
+# Each flow commits from the splitter's Response hook once every field is
+# set; a field written after the commit races with the publisher's
+# encoder on another goroutine. Every published flow must carry the
+# Status and RespBytes its client saw.
+go test -race -count=20 -run 'TestUntaggedFlowsExportFinal' ./internal/mitm/
 
 echo "==> concurrent batch fold (ObserveAll from 8 goroutines under -race, 10 times)"
 # Concurrent batches interleave differently on every run; ten runs give
