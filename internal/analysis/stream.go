@@ -24,6 +24,24 @@ import (
 // how concurrent browsers' commit streams interleave, on when in a
 // visit the seal delivers them, or on whether the flows arrive live or
 // from a Suite.Replay of stored databases.
+//
+// Each analyzer has one fold, ObserveAll (pipeline.BatchAnalyzer), and
+// Observe is a batch of one. A batch takes the analyzer's lock once;
+// per-flow parsing (PII and leak scans, identifier extraction) runs
+// before it. A committed batch is usually one browser's visit, so the
+// folds resolve per-browser state once per run of same-browser flows
+// (browserRun) and update it with plain adds.
+
+// browserRun returns the length of the leading run of fs whose flows
+// share fs[0]'s browser; fs must not be empty.
+func browserRun(fs []*capture.Flow) int {
+	b := fs[0].Browser
+	n := 1
+	for n < len(fs) && fs[n].Browser == b {
+		n++
+	}
+	return n
+}
 
 // Fig2Analyzer counts engine/native requests per browser (Figure 2).
 type Fig2Analyzer struct {
@@ -39,15 +57,28 @@ func NewFig2Analyzer(browsers []string) *Fig2Analyzer {
 	return &Fig2Analyzer{browsers: browsers, engine: map[string]int{}, native: map[string]int{}}
 }
 
-// Observe tallies one committed flow by its stamped origin.
-func (a *Fig2Analyzer) Observe(f *capture.Flow) {
+// Observe tallies one committed flow: a batch of one.
+func (a *Fig2Analyzer) Observe(f *capture.Flow) { a.ObserveAll([]*capture.Flow{f}) }
+
+// ObserveAll tallies a committed batch by stamped origin, counting each
+// run of same-browser flows locally before adding it to the browser's
+// totals.
+func (a *Fig2Analyzer) ObserveAll(fs []*capture.Flow) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	m := a.native
-	if f.Origin == capture.OriginEngine {
-		m = a.engine
+	for len(fs) > 0 {
+		n := browserRun(fs)
+		engine := 0
+		for _, f := range fs[:n] {
+			if f.Origin == capture.OriginEngine {
+				engine++
+			}
+		}
+		b := fs[0].Browser
+		a.engine[b] += engine
+		a.native[b] += n - engine
+		fs = fs[n:]
 	}
-	m[f.Browser]++
 }
 
 // Reset drops all counts.
@@ -91,18 +122,34 @@ func NewFig3Analyzer(list *hostlist.List, browsers []string) *Fig3Analyzer {
 	return &Fig3Analyzer{browsers: browsers, list: list, hosts: map[string]map[string]bool{}}
 }
 
-// Observe tallies one committed native flow's destination host.
-func (a *Fig3Analyzer) Observe(f *capture.Flow) {
-	if f.Origin != capture.OriginNative {
-		return
-	}
+// Observe tallies one committed flow: a batch of one.
+func (a *Fig3Analyzer) Observe(f *capture.Flow) { a.ObserveAll([]*capture.Flow{f}) }
+
+// ObserveAll tallies the destination hosts of a committed batch's
+// native flows. Each run of same-browser flows looks its host set up
+// once and skips a host repeated from the run's previous native flow.
+func (a *Fig3Analyzer) ObserveAll(fs []*capture.Flow) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	b := f.Browser
-	if a.hosts[b] == nil {
-		a.hosts[b] = map[string]bool{}
+	for len(fs) > 0 {
+		n := browserRun(fs)
+		var hosts map[string]bool // nil until the run's first native flow
+		last := ""
+		for _, f := range fs[:n] {
+			if f.Origin != capture.OriginNative || (hosts != nil && f.Host == last) {
+				continue
+			}
+			if hosts == nil {
+				if hosts = a.hosts[f.Browser]; hosts == nil {
+					hosts = map[string]bool{}
+					a.hosts[f.Browser] = hosts
+				}
+			}
+			hosts[f.Host] = true
+			last = f.Host
+		}
+		fs = fs[n:]
 	}
-	a.hosts[b][f.Host] = true
 }
 
 // Reset drops all state.
@@ -154,15 +201,30 @@ func NewFig4Analyzer(browsers []string) *Fig4Analyzer {
 	return &Fig4Analyzer{browsers: browsers, engine: map[string]int64{}, native: map[string]int64{}}
 }
 
-// Observe sums one committed flow's request bytes by stamped origin.
-func (a *Fig4Analyzer) Observe(f *capture.Flow) {
+// Observe sums one committed flow: a batch of one.
+func (a *Fig4Analyzer) Observe(f *capture.Flow) { a.ObserveAll([]*capture.Flow{f}) }
+
+// ObserveAll sums a committed batch's request bytes by stamped origin,
+// summing each run of same-browser flows locally before adding it to
+// the browser's totals.
+func (a *Fig4Analyzer) ObserveAll(fs []*capture.Flow) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	m := a.native
-	if f.Origin == capture.OriginEngine {
-		m = a.engine
+	for len(fs) > 0 {
+		n := browserRun(fs)
+		var engine, native int64
+		for _, f := range fs[:n] {
+			if f.Origin == capture.OriginEngine {
+				engine += int64(f.ReqBytes)
+			} else {
+				native += int64(f.ReqBytes)
+			}
+		}
+		b := fs[0].Browser
+		a.engine[b] += engine
+		a.native[b] += native
+		fs = fs[n:]
 	}
-	m[f.Browser] += int64(f.ReqBytes)
 }
 
 // Reset drops all sums.
@@ -222,26 +284,32 @@ func NewDNSAnalyzer(browsers []string) *DNSAnalyzer {
 	return &DNSAnalyzer{browsers: browsers, best: map[string]dnsPick{}}
 }
 
-// Observe inspects one committed native flow for resolver evidence.
-func (a *DNSAnalyzer) Observe(f *capture.Flow) {
-	if f.Origin != capture.OriginNative {
-		return
-	}
-	var mode string
-	switch f.Host {
-	case "cloudflare-dns.com":
-		mode = "doh-cloudflare"
-	case "dns.google":
-		mode = "doh-google"
-	default:
-		return
-	}
+// Observe inspects one committed flow: a batch of one.
+func (a *DNSAnalyzer) Observe(f *capture.Flow) { a.ObserveAll([]*capture.Flow{f}) }
+
+// ObserveAll inspects a committed batch's native flows for resolver
+// evidence.
+func (a *DNSAnalyzer) ObserveAll(fs []*capture.Flow) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if prev, had := a.best[f.Browser]; had && f.ID <= prev.id {
-		return
+	for _, f := range fs {
+		if f.Origin != capture.OriginNative {
+			continue
+		}
+		var mode string
+		switch f.Host {
+		case "cloudflare-dns.com":
+			mode = "doh-cloudflare"
+		case "dns.google":
+			mode = "doh-google"
+		default:
+			continue
+		}
+		if prev, had := a.best[f.Browser]; had && f.ID <= prev.id {
+			continue
+		}
+		a.best[f.Browser] = dnsPick{mode: mode, id: f.ID}
 	}
-	a.best[f.Browser] = dnsPick{mode: mode, id: f.ID}
 }
 
 // Reset drops all evidence.
@@ -275,55 +343,89 @@ func (a *DNSAnalyzer) Finalize() any { return a.Usage() }
 // (values travel in the flow that introduces them), then counts the
 // flow as a sighting of any known identifier of the same browser and
 // host that appears in its query or body — so a stable identifier's
-// sighting count is the number of flows that carry it.
+// sighting count is the number of flows that carry it. State is indexed
+// by browser, then host, so a flow searches only its own host's
+// identifiers.
 type TrackableAnalyzer struct {
-	mu        sync.Mutex
-	values    map[string]map[string][]string // browser -> host?param -> first-seen values
-	sightings map[string]map[string]int      // browser -> host?param -> carrying flows
+	mu  sync.Mutex
+	ids map[string]map[string]map[string]*trackedID // browser -> host -> param -> identifier
+}
+
+// trackedID is one mined identifier: its distinct values in first-seen
+// order and the number of flows that carried one of them.
+type trackedID struct {
+	values    []string
+	sightings int
+}
+
+// trackScan is one native flow's identifier hits and sighting haystack,
+// parsed before the state lock is taken.
+type trackScan struct {
+	f    *capture.Flow
+	hits []leak.IDHit
+	hay  string
 }
 
 // NewTrackableAnalyzer builds an empty miner.
 func NewTrackableAnalyzer() *TrackableAnalyzer {
-	return &TrackableAnalyzer{
-		values:    map[string]map[string][]string{},
-		sightings: map[string]map[string]int{},
-	}
+	return &TrackableAnalyzer{ids: map[string]map[string]map[string]*trackedID{}}
 }
 
-// Observe mines one committed native flow.
-func (a *TrackableAnalyzer) Observe(f *capture.Flow) {
-	if f.Origin != capture.OriginNative {
-		return
+// Observe mines one committed flow: a batch of one.
+func (a *TrackableAnalyzer) Observe(f *capture.Flow) { a.ObserveAll([]*capture.Flow{f}) }
+
+// ObserveAll mines a committed batch's native flows. Extraction runs
+// before the lock; each run of same-browser flows then looks its host
+// index up once.
+func (a *TrackableAnalyzer) ObserveAll(fs []*capture.Flow) {
+	var buf [32]trackScan // a visit's native flows usually fit
+	scans := buf[:0]
+	for _, f := range fs {
+		if f.Origin != capture.OriginNative {
+			continue
+		}
+		hay := f.RawQuery + string(f.Body)
+		if dec, err := url.QueryUnescape(f.RawQuery); err == nil {
+			hay += dec
+		}
+		scans = append(scans, trackScan{f: f, hits: leak.ExtractIDs(f), hay: hay})
 	}
-	hits := leak.ExtractIDs(f) // parsing happens outside the state lock
-	hay := f.RawQuery + string(f.Body)
-	if dec, err := url.QueryUnescape(f.RawQuery); err == nil {
-		hay += dec
+	if len(scans) == 0 {
+		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	b := f.Browser
-	for _, hit := range hits {
-		key := f.Host + "?" + hit.Key
-		if a.values[b] == nil {
-			a.values[b] = map[string][]string{}
+	var byHost map[string]map[string]*trackedID
+	for i, sc := range scans {
+		f := sc.f
+		if i == 0 || f.Browser != scans[i-1].f.Browser {
+			byHost = a.ids[f.Browser]
 		}
-		if vals := a.values[b][key]; !slices.Contains(vals, hit.Value) {
-			a.values[b][key] = append(vals, hit.Value)
-		}
-	}
-	for key, vals := range a.values[b] {
-		host := key[:strings.IndexByte(key, '?')]
-		if host != f.Host {
-			continue
-		}
-		for _, v := range vals {
-			if strings.Contains(hay, v) {
-				if a.sightings[b] == nil {
-					a.sightings[b] = map[string]int{}
+		params := byHost[f.Host]
+		for _, hit := range sc.hits {
+			if params == nil {
+				if byHost == nil {
+					byHost = map[string]map[string]*trackedID{}
+					a.ids[f.Browser] = byHost
 				}
-				a.sightings[b][key]++
-				break
+				params = map[string]*trackedID{}
+				byHost[f.Host] = params
+			}
+			id := params[hit.Key]
+			if id == nil {
+				id = &trackedID{}
+				params[hit.Key] = id
+			}
+			if !slices.Contains(id.values, hit.Value) {
+				id.values = append(id.values, hit.Value)
+			}
+		}
+		for _, id := range params {
+			for _, v := range id.values {
+				if strings.Contains(sc.hay, v) {
+					id.sightings++
+					break
+				}
 			}
 		}
 	}
@@ -333,8 +435,7 @@ func (a *TrackableAnalyzer) Observe(f *capture.Flow) {
 func (a *TrackableAnalyzer) Reset() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.values = map[string]map[string][]string{}
-	a.sightings = map[string]map[string]int{}
+	a.ids = map[string]map[string]map[string]*trackedID{}
 }
 
 // IDs reports the mined identifiers, most-persistent first (fewest
@@ -345,16 +446,17 @@ func (a *TrackableAnalyzer) IDs() []TrackableID {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var out []TrackableID
-	for browser, byKey := range a.values {
-		for key, vals := range byKey {
-			i := strings.IndexByte(key, '?')
-			sorted := slices.Clone(vals)
-			slices.Sort(sorted)
-			out = append(out, TrackableID{
-				Browser: browser, Host: key[:i], Param: key[i+1:],
-				Values:    sorted,
-				Sightings: a.sightings[browser][key],
-			})
+	for browser, byHost := range a.ids {
+		for host, params := range byHost {
+			for param, id := range params {
+				sorted := slices.Clone(id.values)
+				slices.Sort(sorted)
+				out = append(out, TrackableID{
+					Browser: browser, Host: host, Param: param,
+					Values:    sorted,
+					Sightings: id.sightings,
+				})
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -393,20 +495,33 @@ type Listing1Analyzer struct {
 // NewListing1Analyzer builds an empty exemplar capturer.
 func NewListing1Analyzer() *Listing1Analyzer { return &Listing1Analyzer{} }
 
-// Observe checks one committed native flow against the exemplar shape.
-func (a *Listing1Analyzer) Observe(f *capture.Flow) {
-	if f.Origin != capture.OriginNative {
-		return
+// Observe checks one committed flow: a batch of one.
+func (a *Listing1Analyzer) Observe(f *capture.Flow) { a.ObserveAll([]*capture.Flow{f}) }
+
+// ObserveAll checks a committed batch's native flows against the
+// exemplar shape; the lock is taken only when the batch has a match.
+func (a *Listing1Analyzer) ObserveAll(fs []*capture.Flow) {
+	var first *capture.Flow // the batch's lowest-ID match
+	for _, f := range fs {
+		if f.Origin != capture.OriginNative {
+			continue
+		}
+		if f.Browser != "Opera" || f.Host != "s-odx.oleads.com" || f.Method != "POST" {
+			continue
+		}
+		if first == nil || f.ID < first.ID {
+			first = f
+		}
 	}
-	if f.Browser != "Opera" || f.Host != "s-odx.oleads.com" || f.Method != "POST" {
+	if first == nil {
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.found && f.ID >= a.id {
+	if a.found && first.ID >= a.id {
 		return
 	}
-	a.found, a.id, a.body, a.query = true, f.ID, string(f.Body), f.RawQuery
+	a.found, a.id, a.body, a.query = true, first.ID, string(first.Body), first.RawQuery
 }
 
 // Reset drops the capture.
@@ -437,31 +552,70 @@ type TransportAnalyzer struct {
 	browsers []string
 
 	mu     sync.Mutex
-	counts map[string]map[string]int // browser -> transport -> flows
+	counts map[string]*transportCounts
+}
+
+// transportCounts is one browser's flows per transport tag.
+type transportCounts struct {
+	known [4]int         // h1 (and untagged), h2, ws, doh
+	other map[string]int // any other tag
+}
+
+// transportSlot is a transport tag's index in transportCounts.known, or
+// -1 for a tag outside the four.
+func transportSlot(tag string) int {
+	switch tag {
+	case "", capture.TransportH1:
+		return 0
+	case capture.TransportH2:
+		return 1
+	case capture.TransportWS:
+		return 2
+	case capture.TransportDoH:
+		return 3
+	}
+	return -1
 }
 
 // NewTransportAnalyzer builds an analyzer producing rows for browsers.
 func NewTransportAnalyzer(browsers []string) *TransportAnalyzer {
-	return &TransportAnalyzer{browsers: browsers, counts: map[string]map[string]int{}}
+	return &TransportAnalyzer{browsers: browsers, counts: map[string]*transportCounts{}}
 }
 
-// Observe tallies one committed flow by its transport tag.
-func (a *TransportAnalyzer) Observe(f *capture.Flow) {
-	t := f.TransportOrDefault()
+// Observe tallies one committed flow: a batch of one.
+func (a *TransportAnalyzer) Observe(f *capture.Flow) { a.ObserveAll([]*capture.Flow{f}) }
+
+// ObserveAll tallies a committed batch by transport tag, looking each
+// run of same-browser flows' counts up once.
+func (a *TransportAnalyzer) ObserveAll(fs []*capture.Flow) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	b := f.Browser
-	if a.counts[b] == nil {
-		a.counts[b] = map[string]int{}
+	for len(fs) > 0 {
+		n := browserRun(fs)
+		c := a.counts[fs[0].Browser]
+		if c == nil {
+			c = &transportCounts{}
+			a.counts[fs[0].Browser] = c
+		}
+		for _, f := range fs[:n] {
+			if i := transportSlot(f.Transport); i >= 0 {
+				c.known[i]++
+				continue
+			}
+			if c.other == nil {
+				c.other = map[string]int{}
+			}
+			c.other[f.Transport]++
+		}
+		fs = fs[n:]
 	}
-	a.counts[b][t]++
 }
 
 // Reset drops all counts.
 func (a *TransportAnalyzer) Reset() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.counts = map[string]map[string]int{}
+	a.counts = map[string]*transportCounts{}
 }
 
 // Rows assembles the coverage rows in browser-list order.
@@ -470,13 +624,9 @@ func (a *TransportAnalyzer) Rows() []TransportRow {
 	defer a.mu.Unlock()
 	rows := make([]TransportRow, 0, len(a.browsers))
 	for _, b := range a.browsers {
-		c := a.counts[b]
-		r := TransportRow{
-			Browser: b,
-			H1:      c[capture.TransportH1],
-			H2:      c[capture.TransportH2],
-			WS:      c[capture.TransportWS],
-			DoH:     c[capture.TransportDoH],
+		r := TransportRow{Browser: b}
+		if c := a.counts[b]; c != nil {
+			r.H1, r.H2, r.WS, r.DoH = c.known[0], c.known[1], c.known[2], c.known[3]
 		}
 		r.Total = r.H1 + r.H2 + r.WS + r.DoH
 		rows = append(rows, r)
@@ -525,28 +675,60 @@ func NewFig5Analyzer(browsers []string, start time.Time, duration time.Duration,
 	}
 }
 
-// Observe folds one committed native flow into its time bin.
-func (c *Fig5Analyzer) Observe(f *capture.Flow) {
-	if f.Origin != capture.OriginNative || f.Time.Before(c.start) {
-		return
-	}
-	off := int(f.Time.Sub(c.start).Seconds()) / c.binSecs
-	if off >= c.nBins {
-		off = c.nBins - 1
-	}
-	dom := hostlist.RegistrableDomain(f.Host)
+// Observe folds one committed flow: a batch of one.
+func (c *Fig5Analyzer) Observe(f *capture.Flow) { c.ObserveAll([]*capture.Flow{f}) }
+
+// ObserveAll folds a committed batch's native flows into their time
+// bins, one run of same-browser flows at a time.
+func (c *Fig5Analyzer) ObserveAll(fs []*capture.Flow) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	b := f.Browser
-	if c.bins[b] == nil {
-		c.bins[b] = make([]int, c.nBins)
+	for len(fs) > 0 {
+		n := browserRun(fs)
+		c.foldRun(fs[:n])
+		fs = fs[n:]
 	}
-	c.bins[b][off]++
-	if c.dests[b] == nil {
-		c.dests[b] = map[string]int{}
+}
+
+// foldRun folds one browser's run of flows. The browser's bins and
+// destinations are looked up once, and each run of same-host flows
+// resolves its registrable domain once.
+func (c *Fig5Analyzer) foldRun(run []*capture.Flow) {
+	b := run[0].Browser
+	var bins []int // nil until the run's first counted flow
+	var dests map[string]int
+	host, hostN, total := "", 0, 0
+	for _, f := range run {
+		if f.Origin != capture.OriginNative || f.Time.Before(c.start) {
+			continue
+		}
+		if bins == nil {
+			if bins = c.bins[b]; bins == nil {
+				bins = make([]int, c.nBins)
+				c.bins[b] = bins
+			}
+			if dests = c.dests[b]; dests == nil {
+				dests = map[string]int{}
+				c.dests[b] = dests
+			}
+		}
+		off := int(f.Time.Sub(c.start).Seconds()) / c.binSecs
+		if off >= c.nBins {
+			off = c.nBins - 1
+		}
+		bins[off]++
+		if hostN > 0 && f.Host != host {
+			dests[hostlist.RegistrableDomain(host)] += hostN
+			hostN = 0
+		}
+		host = f.Host
+		hostN++
+		total++
 	}
-	c.dests[b][dom]++
-	c.total[b]++
+	if total > 0 {
+		dests[hostlist.RegistrableDomain(host)] += hostN
+		c.total[b] += total
+	}
 }
 
 // Reset drops all bins.
@@ -662,18 +844,18 @@ func (s *Suite) Register(p *pipeline.Pipeline) {
 	}
 }
 
-// Replay feeds a stored database to every analyzer, the Engine flows
-// then the Native flows, each store in insertion order. It calls the
-// analyzers directly rather than through a Pipeline, so an offline
-// replay leaves the pipeline metrics alone. Replaying the stores a live
-// campaign retained reproduces its suite byte for byte.
+// Replay feeds a stored database to every analyzer, the Engine store
+// then the Native store, each as one batch in insertion order folded
+// analyzer by analyzer (pipeline.Fold, the live pipeline's fold). It
+// calls the analyzers directly rather than through a Pipeline, so an
+// offline replay leaves the pipeline metrics alone. Replaying the
+// stores a live campaign retained reproduces its suite byte for byte.
 func (s *Suite) Replay(db *capture.DB) {
 	as := s.analyzers()
 	for _, st := range []*capture.Store{db.Engine, db.Native} {
-		for _, f := range st.All() {
-			for _, e := range as {
-				e.a.Observe(f)
-			}
+		all := st.All()
+		for _, e := range as {
+			pipeline.Fold(e.a, all)
 		}
 	}
 }

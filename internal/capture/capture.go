@@ -155,16 +155,6 @@ const (
 	TransportDoH = "doh" // DNS-over-HTTPS message (RFC 8484 body)
 )
 
-// TransportOrDefault normalises a flow's transport label: flows captured
-// before the transport-aware data plane (JSONL round-trips, hand-built
-// test flows) have no stamp and count as plain HTTP/1.1.
-func (f *Flow) TransportOrDefault() string {
-	if f.Transport == "" {
-		return TransportH1
-	}
-	return f.Transport
-}
-
 // Flow is one captured HTTP(S) exchange.
 type Flow struct {
 	ID   int64     `json:"id"`
@@ -176,10 +166,10 @@ type Flow struct {
 	Method string `json:"method"`
 	Scheme string `json:"scheme"`
 	// Transport is the data-plane protocol ("h1", "h2", "ws", "doh");
-	// empty on flows captured before the transport-aware dispatch (treat
-	// as "h1", see TransportOrDefault). ALPN is the raw protocol the
-	// client negotiated on the intercepted TLS connection ("" for
-	// cleartext or no-ALPN clients).
+	// empty on flows captured before the transport-aware dispatch (JSONL
+	// round-trips, hand-built test flows), which count as "h1". ALPN is
+	// the raw protocol the client negotiated on the intercepted TLS
+	// connection ("" for cleartext or no-ALPN clients).
 	Transport string      `json:"transport,omitempty"`
 	ALPN      string      `json:"alpn,omitempty"`
 	Host      string      `json:"host"`

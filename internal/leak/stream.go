@@ -11,7 +11,7 @@ import (
 // into the running set. The search itself is one pass of the flow's
 // own visit's Aho-Corasick automaton over the flow haystack, so
 // per-flow cost does not grow with the number of visits seen.
-// Implements pipeline.Analyzer (plus Reset).
+// Implements pipeline.BatchAnalyzer (plus Reset).
 type StreamScanner struct {
 	det    *Detector
 	origin capture.Origin // the only origin scanned
@@ -26,17 +26,27 @@ func NewStreamScanner(d *Detector, origin capture.Origin) *StreamScanner {
 	return &StreamScanner{det: d, origin: origin}
 }
 
-// Observe scans one committed flow of the scanner's origin.
-func (s *StreamScanner) Observe(f *capture.Flow) {
-	if f.Origin != s.origin {
-		return
+// Observe scans one committed flow: a batch of one.
+func (s *StreamScanner) Observe(f *capture.Flow) { s.ObserveAll([]*capture.Flow{f}) }
+
+// ObserveAll scans a committed batch's flows of the scanner's origin,
+// with no lock held, then appends their findings under one lock.
+func (s *StreamScanner) ObserveAll(fs []*capture.Flow) {
+	var buf [8]Finding // most batches leak less
+	found := buf[:0]
+	for _, f := range fs {
+		if f.Origin != s.origin {
+			continue
+		}
+		if fnd, ok := s.scanOne(f); ok {
+			found = append(found, fnd)
+		}
 	}
-	fnd, ok := s.scanOne(f)
-	if !ok {
+	if len(found) == 0 {
 		return
 	}
 	s.mu.Lock()
-	s.findings = append(s.findings, fnd)
+	s.findings = append(s.findings, found...)
 	s.mu.Unlock()
 }
 

@@ -129,6 +129,9 @@ func init() {
 // field after it and sends the client nothing before it (a WebSocket
 // upgrade's 101 excepted). resp is nil when the proxy answered itself
 // (veto, injected fault, upstream error) and for WebSocket flows.
+// Otherwise its status and headers are the upstream's, but resp.Body is
+// already drained and closed: the proxy relays the body from its own
+// buffer, and the capture plane records request bodies only.
 type Addon interface {
 	Request(f *capture.Flow, req *http.Request)
 	Response(f *capture.Flow, resp *http.Response)
@@ -1066,7 +1069,7 @@ func hostOnly(req *http.Request, fallback string) string {
 
 // forward sends the request upstream over a pooled or freshly dialed
 // connection and returns the parsed response with its body fully read
-// into a pooled buffer (resp.Body replays it). The caller returns the
+// into a pooled buffer (resp.Body is drained). The caller returns the
 // buffer to bodyPool once the response is written out.
 //
 // Pool keys embed the negotiated ALPN (scheme|alpn|addr) so h2 and h1
@@ -1196,8 +1199,8 @@ func (p *Proxy) exchange(pc connpool.Entry, key string, raw []byte, req *http.Re
 	return resp, bb, nil
 }
 
-// readBody reads resp's body into a pooled buffer and re-points
-// resp.Body at the buffered bytes.
+// readBody drains and closes resp's body into a pooled buffer; resp.Body
+// is spent afterwards.
 func readBody(resp *http.Response) (*bytes.Buffer, error) {
 	bb := getBody(resp.ContentLength)
 	if _, err := io.Copy(bb, io.LimitReader(resp.Body, 64<<20)); err != nil {
@@ -1205,7 +1208,6 @@ func readBody(resp *http.Response) (*bytes.Buffer, error) {
 		return nil, fmt.Errorf("read body: %w", err)
 	}
 	resp.Body.Close()
-	resp.Body = io.NopCloser(bytes.NewReader(bb.Bytes()))
 	return bb, nil
 }
 

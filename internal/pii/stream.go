@@ -10,12 +10,12 @@ import (
 // MatrixAnalyzer builds Table 2 incrementally: each committed native
 // flow is scanned as it arrives and its findings folded into
 // per-browser attribute sets, so the matrix is available at any point
-// of the campaign. Implements pipeline.Analyzer (plus Reset).
+// of the campaign. Implements pipeline.BatchAnalyzer (plus Reset).
 type MatrixAnalyzer struct {
 	browsers []string
+	rows     map[string]bool // the browsers reported on; never written after construction
 
 	mu       sync.Mutex
-	rows     map[string]bool
 	leaked   map[string]map[Attribute]bool
 	findings []Finding // arrival order
 }
@@ -23,37 +23,49 @@ type MatrixAnalyzer struct {
 // NewMatrixAnalyzer builds an analyzer producing rows for the given
 // browser names (flows of other browsers are ignored).
 func NewMatrixAnalyzer(browsers []string) *MatrixAnalyzer {
-	a := &MatrixAnalyzer{browsers: browsers}
+	a := &MatrixAnalyzer{browsers: browsers, rows: make(map[string]bool, len(browsers))}
+	for _, b := range browsers {
+		a.rows[b] = true
+	}
 	a.reset()
 	return a
 }
 
 func (a *MatrixAnalyzer) reset() {
-	a.rows = make(map[string]bool, len(a.browsers))
 	a.leaked = make(map[string]map[Attribute]bool, len(a.browsers))
 	for _, b := range a.browsers {
-		a.rows[b] = true
 		a.leaked[b] = make(map[Attribute]bool)
 	}
 	a.findings = nil
 }
 
-// Observe scans one committed flow from the tap stream. Only native
-// traffic contributes to Table 2.
-func (a *MatrixAnalyzer) Observe(f *capture.Flow) {
-	if f.Origin != capture.OriginNative || f.Browser == "" || !a.rows[f.Browser] {
-		return
+// Observe scans one committed flow: a batch of one.
+func (a *MatrixAnalyzer) Observe(f *capture.Flow) { a.ObserveAll([]*capture.Flow{f}) }
+
+// ObserveAll scans a committed batch; only native traffic of a
+// reported browser contributes to Table 2. The scans run before the
+// state lock, which is then taken once for the batch's findings.
+func (a *MatrixAnalyzer) ObserveAll(fs []*capture.Flow) {
+	var found []Finding
+	for _, f := range fs {
+		if f.Origin != capture.OriginNative || f.Browser == "" || !a.rows[f.Browser] {
+			continue
+		}
+		if r := ScanFlow(f); found == nil {
+			found = r // ScanFlow's slice is ours: no copy for the first
+		} else {
+			found = append(found, r...)
+		}
 	}
-	fs := ScanFlow(f) // regex work happens outside the state lock
-	if len(fs) == 0 {
+	if len(found) == 0 {
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, find := range fs {
-		a.leaked[f.Browser][find.Attribute] = true
+	for _, find := range found {
+		a.leaked[find.Browser][find.Attribute] = true
 	}
-	a.findings = append(a.findings, fs...)
+	a.findings = append(a.findings, found...)
 }
 
 // Reset drops all accumulated state.

@@ -10,14 +10,18 @@
 // analysis.Suite.Replay of the stored databases.
 //
 // Flows arrive one at a time (Observe) or as a committed batch
-// (ObserveAll); a single flow is a batch of one. The caller folds the
-// batch analyzer by analyzer: each analyzer takes the whole batch, in
-// slice order, before the next analyzer starts, so it sees a batch's
-// flows in commit order. Batches may arrive concurrently from several
-// committing goroutines (a crawl's parallel attempt seals, the
-// population engine's per-visit commits) and interleave at each
-// analyzer, so an analyzer's result must not depend on the order of
-// its flows. The pipeline starts no goroutine of its own.
+// (ObserveAll). The caller folds a batch analyzer by analyzer: each
+// analyzer takes the whole batch, in slice order, before the next
+// analyzer starts, so it sees a batch's flows in commit order. An
+// analyzer that implements BatchAnalyzer takes the flows between two
+// latency samples in one ObserveAll call, so it can lock once and
+// resolve per-browser state once per run of same-browser flows; any
+// other analyzer takes them one Observe at a time. Batches may arrive
+// concurrently from several committing goroutines (a crawl's parallel
+// attempt seals, the population engine's per-visit commits) and
+// interleave at each analyzer, so an analyzer's result must not depend
+// on the order of its flows. The pipeline starts no goroutine of its
+// own.
 package pipeline
 
 import (
@@ -30,7 +34,7 @@ import (
 )
 
 // Analyzer is an incremental analysis folded over the committed flow
-// stream. Observe is called once per committed flow, from the
+// stream. Observe is called with one committed flow, from the
 // committing goroutine; several committing goroutines may call it at
 // once, so it must be safe for concurrent use. Finalize returns the
 // analysis result; it must be a pure function of the multiset of
@@ -38,6 +42,30 @@ import (
 type Analyzer interface {
 	Observe(f *capture.Flow)
 	Finalize() any
+}
+
+// BatchAnalyzer is optionally implemented by analyzers that fold a
+// committed batch in one call. ObserveAll must leave the analyzer
+// where one Observe per flow of fs, in order, would; it is called
+// under the same concurrency as Observe and must not keep fs. The
+// pipeline still hands a sampled flow to Observe alone, to time it.
+type BatchAnalyzer interface {
+	Analyzer
+	ObserveAll(fs []*capture.Flow)
+}
+
+// Fold hands fs to a in slice order: in one ObserveAll call when a is
+// a BatchAnalyzer, one Observe per flow otherwise. The pipeline folds
+// the flows between latency samples with it, and an offline replay
+// folds a stored database with it.
+func Fold(a Analyzer, fs []*capture.Flow) {
+	if b, ok := a.(BatchAnalyzer); ok {
+		b.ObserveAll(fs)
+		return
+	}
+	for _, f := range fs {
+		a.Observe(f)
+	}
 }
 
 // Sealer is optionally implemented by analyzers that want the
@@ -123,18 +151,32 @@ func (p *Pipeline) Unregister(name string) {
 }
 
 // Observe feeds one committed flow to every analyzer in registration
-// order: a batch of one.
+// order, through its Observe. It draws one number from the pipeline's
+// flow sequence, as ObserveAll does for each flow of a batch. It does
+// not wrap f in a batch of one for ObserveAll: a slice handed on to a
+// BatchAnalyzer escapes, so the wrapper would cost an allocation per
+// flow.
 func (p *Pipeline) Observe(f *capture.Flow) {
-	one := [1]*capture.Flow{f}
-	p.ObserveAll(one[:])
+	timed := p.seq.Add(1)%timeEvery == 1
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	for _, e := range p.entries {
+		if timed {
+			e.timed(f)
+		} else {
+			e.a.Observe(f)
+		}
+		e.observed.Inc()
+	}
 }
 
 // ObserveAll folds a committed batch on the calling goroutine, analyzer
 // by analyzer in registration order, each taking the flows in slice
 // order. The batch draws len(fs) numbers from the pipeline's flow
 // sequence at once; a flow whose number is 1 mod timeEvery is timed
-// at every analyzer, and each analyzer's observed counter moves once
-// per batch. Safe for concurrent batches.
+// alone at every analyzer, and the flows between two timed ones are
+// folded as one segment (Fold). Each analyzer's observed counter moves
+// once per batch. Safe for concurrent batches.
 func (p *Pipeline) ObserveAll(fs []*capture.Flow) {
 	if len(fs) == 0 {
 		return
@@ -148,19 +190,24 @@ func (p *Pipeline) ObserveAll(fs []*capture.Flow) {
 	for _, e := range p.entries {
 		j := 0
 		for t := first; t < len(fs); t += timeEvery {
-			for _, f := range fs[j:t] {
-				e.a.Observe(f)
+			if j < t {
+				Fold(e.a, fs[j:t])
 			}
-			start := time.Now()
-			e.a.Observe(fs[t])
-			e.latency.Observe(time.Since(start).Seconds())
+			e.timed(fs[t])
 			j = t + 1
 		}
-		for _, f := range fs[j:] {
-			e.a.Observe(f)
+		if j < len(fs) {
+			Fold(e.a, fs[j:])
 		}
 		e.observed.Add(int64(len(fs)))
 	}
+}
+
+// timed observes one sampled flow and records its latency.
+func (e *entry) timed(f *capture.Flow) {
+	start := time.Now()
+	e.a.Observe(f)
+	e.latency.Observe(time.Since(start).Seconds())
 }
 
 // Retract counts a quarantined attempt against every analyzer. There

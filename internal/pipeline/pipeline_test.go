@@ -125,3 +125,87 @@ func TestObserveDoesNotAllocate(t *testing.T) {
 		t.Fatalf("Observe allocates %.2f times per flow", n)
 	}
 }
+
+// segmentAnalyzer records every flow it folds, and how many came
+// through Observe and how many ObserveAll segments it took.
+type segmentAnalyzer struct {
+	mu       sync.Mutex
+	ids      []int64
+	single   int
+	segments int
+}
+
+func (a *segmentAnalyzer) Observe(f *capture.Flow) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.ids = append(a.ids, f.ID)
+	a.single++
+}
+
+func (a *segmentAnalyzer) ObserveAll(fs []*capture.Flow) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, f := range fs {
+		a.ids = append(a.ids, f.ID)
+	}
+	a.segments++
+}
+
+func (a *segmentAnalyzer) Finalize() any { return nil }
+
+// TestBatchAnalyzerSegments: a BatchAnalyzer takes the flows between
+// sampled ones through ObserveAll and each sampled flow alone through
+// Observe. Across batch boundaries, with single flows mixed in, every
+// flow is folded exactly once in commit order, pipeline_observed_total
+// stays exact and one flow in timeEvery is timed.
+func TestBatchAnalyzerSegments(t *testing.T) {
+	const name = "batch-segments"
+	observed0 := obs.Default.Counter("pipeline_observed_total", "analyzer", name).Value()
+	h := obs.Default.Histogram("pipeline_observe_seconds", observeBuckets, "analyzer", name)
+	timed0 := h.Count()
+	p := New()
+	a := &segmentAnalyzer{}
+	p.Register(name, a)
+
+	// A step is a batch of that many flows through ObserveAll, or -1 for
+	// one flow through Observe.
+	var id int64
+	wantSingle := 0 // flows the analyzer should take through its Observe
+	for _, n := range []int{1, timeEvery - 1, -1, timeEvery, timeEvery + 1, -1, 1, 2*timeEvery - 1, 0, 200, 3, 3*timeEvery + 7, -1, 1} {
+		if n < 0 {
+			id++
+			p.Observe(&capture.Flow{ID: id})
+			wantSingle++
+		} else {
+			batch := make([]*capture.Flow, n)
+			for i := range batch {
+				id++
+				batch[i] = &capture.Flow{ID: id}
+				if id%timeEvery == 1 {
+					wantSingle++ // sampled: timed alone
+				}
+			}
+			p.ObserveAll(batch)
+		}
+		if got := obs.Default.Counter("pipeline_observed_total", "analyzer", name).Value() - observed0; got != id {
+			t.Fatalf("after %d flows: observed_total delta %d", id, got)
+		}
+		if got, want := h.Count()-timed0, (id+timeEvery-1)/timeEvery; got != want {
+			t.Fatalf("after %d flows: %d timed, want %d (one in %d)", id, got, want, timeEvery)
+		}
+		if a.single != wantSingle {
+			t.Fatalf("after %d flows: %d flows through Observe, want %d", id, a.single, wantSingle)
+		}
+	}
+	if len(a.ids) != int(id) {
+		t.Fatalf("folded %d flows, want %d", len(a.ids), id)
+	}
+	for i, got := range a.ids {
+		if got != int64(i+1) {
+			t.Fatalf("fold %d took flow %d, want %d (a flow skipped, repeated or out of order)", i, got, i+1)
+		}
+	}
+	if a.segments == 0 || a.single+a.segments >= int(id) {
+		t.Fatalf("%d segments and %d single flows for %d flows: batches were not folded whole", a.segments, a.single, id)
+	}
+}

@@ -58,6 +58,12 @@ echo "==> concurrent batch fold (ObserveAll from 8 goroutines under -race, 10 ti
 # the race detector and the serial-Observe comparison more interleavings.
 go test -race -count=10 -run 'TestObserveAllConcurrent' ./internal/pipeline/
 
+echo "==> concurrent analyzer batch folds (the eleven analyzers' ObserveAll from 8 goroutines under -race, 10 times)"
+# Each analyzer takes a batch under one lock and keeps per-browser state
+# across the batch's same-browser runs; every result must equal the
+# per-flow Observe fold.
+go test -race -count=10 -run 'TestBatchFoldConcurrent' ./internal/analysis/
+
 echo "==> concurrent first-sight leak scans (8 goroutines through one detector under -race, 10 times)"
 # Each run interleaves the per-visit compiles and the map insert
 # differently; every flow's finding must equal the naive reference.
