@@ -90,3 +90,73 @@ func TestStoreReleasesOnRemoveAndReset(t *testing.T) {
 		}
 	}
 }
+
+func TestReclaimReturnsRecordToLastHolder(t *testing.T) {
+	f := AcquireFlow()
+	f.ID, f.Host, f.Browser = 9, "last.example", "Chrome"
+	f.Headers = map[string][]string{"X-Id": {"abc"}}
+	f.Body = append(f.Body[:0], "payload-payload"...)
+	bodyCap := cap(f.Body)
+	if g := f.Reclaim(); g != f {
+		t.Fatalf("last holder's Reclaim = %p, want the flow itself %p", g, f)
+	}
+	if f.ID != 0 || f.Host != "" || f.Browser != "" || len(f.Body) != 0 || len(f.Headers) != 0 {
+		t.Fatalf("reclaimed flow not reset: %+v", f)
+	}
+	if cap(f.Body) != bodyCap || f.Headers == nil {
+		t.Fatalf("reclaimed flow lost its buffers: body cap %d (was %d), headers %v", cap(f.Body), bodyCap, f.Headers)
+	}
+	if n := atomic.LoadInt32(&f.refs); n != 1 || !f.pooled {
+		t.Fatalf("reclaimed flow holds %d references (pooled %v), want 1 like AcquireFlow", n, f.pooled)
+	}
+	f.Release() // the reclaimed reference is an ordinary one
+}
+
+func TestReclaimLeavesSharedFlowIntact(t *testing.T) {
+	f := AcquireFlow()
+	f.ID, f.Host = 4, "shared.example"
+	f.Ref() // a store keeps it
+	if g := f.Reclaim(); g != nil {
+		t.Fatal("Reclaim returned a flow another holder still references")
+	}
+	if f.ID != 4 || f.Host != "shared.example" {
+		t.Fatalf("shared flow reset by a holder's Reclaim: %+v", f)
+	}
+	if g := f.Reclaim(); g != f {
+		t.Fatal("the remaining holder's Reclaim did not return the flow")
+	}
+	f.Release()
+}
+
+func TestReclaimIgnoresUnpooledFlows(t *testing.T) {
+	f := &Flow{ID: 1, Host: "literal.example"}
+	var nilFlow *Flow
+	if f.Reclaim() != nil || nilFlow.Reclaim() != nil {
+		t.Fatal("Reclaim returned an unpooled or nil flow")
+	}
+	if f.Host != "literal.example" {
+		t.Fatal("unpooled flow must not be reset")
+	}
+}
+
+func TestDoubleReleasePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Release of the last reference must panic")
+		}
+	}()
+	f := AcquireFlow()
+	f.Release()
+	f.Release()
+}
+
+func TestReclaimAfterReleasePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("reclaiming more times than referenced must panic")
+		}
+	}()
+	f := AcquireFlow()
+	f.Release()
+	f.Reclaim()
+}

@@ -149,25 +149,32 @@ func appendCompressedName(b []byte, name string, offs nameOffsets) ([]byte, erro
 	if len(name) > 253 {
 		return nil, ErrNameTooLong
 	}
-	labels := strings.Split(name, ".")
-	for i := range labels {
-		suffix := strings.ToLower(strings.Join(labels[i:], "."))
-		if off, ok := offs[suffix]; ok && off <= 0x3FFF {
+	// Suffixes are keyed lowercased. Lowercasing maps rune by rune and
+	// never makes or removes a dot, so the lowered name has the same
+	// labels, and each suffix's key is a substring of it, found by
+	// stepping past one dot per label.
+	lower := strings.ToLower(name)
+	for rest, key := name, lower; ; {
+		if off, ok := offs[key]; ok && off <= 0x3FFF {
 			return append(b, 0xC0|byte(off>>8), byte(off)), nil
 		}
-		if len(labels[i]) == 0 {
+		label, tail, more := strings.Cut(rest, ".")
+		if len(label) == 0 {
 			return nil, fmt.Errorf("dnsmsg: empty label in %q", name)
 		}
-		if len(labels[i]) > 63 {
+		if len(label) > 63 {
 			return nil, ErrLabelTooLong
 		}
 		if len(b) <= 0x3FFF {
-			offs[suffix] = len(b)
+			offs[key] = len(b)
 		}
-		b = append(b, byte(len(labels[i])))
-		b = append(b, labels[i]...)
+		b = append(b, byte(len(label)))
+		b = append(b, label...)
+		if !more {
+			return append(b, 0), nil
+		}
+		rest, key = tail, key[strings.IndexByte(key, '.')+1:]
 	}
-	return append(b, 0), nil
 }
 
 // appendName encodes a domain name without compression (compression on

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"panoptes/internal/analysis"
 	"panoptes/internal/capture"
@@ -143,31 +144,78 @@ func TestObserveAllMatchesObserve(t *testing.T) {
 	}
 }
 
-// TestObserveAllShortBatchFoldsLikeObserve: a batch is timed like the
-// per-flow fold, the first flow and every 64th after it, and each
-// analyzer sees it in slice order.
+// pauseAnalyzer sleeps d in every fold call and keeps nothing.
+type pauseAnalyzer struct{ d time.Duration }
+
+func (a pauseAnalyzer) Observe(*capture.Flow)      { time.Sleep(a.d) }
+func (a pauseAnalyzer) ObserveAll([]*capture.Flow) { time.Sleep(a.d) }
+func (pauseAnalyzer) Finalize() any                { return nil }
+
+// TestObserveAllShortBatchFoldsLikeObserve: a batch is timed once, whole,
+// when it holds a sample point (the first flow or a TimeEvery-th after
+// it), and its sample is the fold's per-flow mean. Each analyzer sees
+// the batch in slice order; one without ObserveAll takes it one Observe
+// per flow.
 func TestObserveAllShortBatchFoldsLikeObserve(t *testing.T) {
-	const name = "short-batch"
-	h := obs.Default.Histogram("pipeline_observe_seconds", obs.ExponentialBuckets(1e-6, 4, 10), "analyzer", name)
-	timed0 := h.Count()
+	const name, paused = "short-batch", "short-batch-paused"
+	const pause = 2 * time.Millisecond
+	histogram := func(name string) *obs.Histogram {
+		return obs.Default.Histogram("pipeline_observe_seconds", obs.ExponentialBuckets(1e-6, 4, 10), "analyzer", name)
+	}
+	h, hp := histogram(name), histogram(paused)
+	timed0, sum0 := h.Count(), hp.Sum()
 	p := pipeline.New()
 	a := &orderAnalyzer{}
 	p.Register(name, a)
-	flows := flowMix(t, 1023)
-	p.ObserveAll(flows)
-	if got, want := h.Count()-timed0, int64((len(flows)+63)/64); got != want {
-		t.Errorf("timed %d flows, want %d (the first and every 64th)", got, want)
+	p.Register(paused, pauseAnalyzer{pause})
+
+	const te = pipeline.TimeEvery
+	flows := flowMix(t, 2*te+6)
+	var seq, wantTimed int64
+	for k, n := range []int{te - 1, 1, 1, te - 2, 2, 5} {
+		batch := flows[seq : seq+int64(n)]
+		sampled := false
+		for range batch {
+			seq++
+			sampled = sampled || seq%te == 1
+		}
+		if sampled {
+			wantTimed++
+		}
+		start := time.Now()
+		p.ObserveAll(batch)
+		wall := time.Since(start)
+		if got := h.Count() - timed0; got != wantTimed {
+			t.Fatalf("batch %d (flows ..%d): %d samples, want %d", k, seq, got, wantTimed)
+		}
+		if k == 0 {
+			// The sample is the paused fold's per-flow mean: at least
+			// the pause over the batch, at most the whole call over it.
+			got, lo, hi := hp.Sum()-sum0, pause.Seconds()/float64(n), wall.Seconds()/float64(n)
+			if got < lo || got > hi {
+				t.Fatalf("sample %.3gs, want the per-flow mean in [%.3gs, %.3gs]", got, lo, hi)
+			}
+		}
 	}
-	if len(a.ids) != len(flows) || a.ids[0] != flows[0].ID || a.ids[len(flows)-1] != flows[len(flows)-1].ID {
-		t.Errorf("short batch observed %d flows out of order", len(a.ids))
+	if !reflect.DeepEqual(a.ids, flowIDs(flows)) {
+		t.Errorf("short batches observed %d flows, not once each in slice order", len(a.ids))
 	}
+}
+
+// flowIDs lists the flows' IDs in slice order.
+func flowIDs(fs []*capture.Flow) []int64 {
+	ids := make([]int64, len(fs))
+	for i, f := range fs {
+		ids[i] = f.ID
+	}
+	return ids
 }
 
 // TestObserveAllConcurrent: batches committed from eight goroutines at
 // once leave the suite where one goroutine's per-flow Observe calls
 // leave it, byte for byte. Every analyzer sees every flow exactly once,
 // each batch in slice order; pipeline_observed_total is exact and the
-// sampled timing still times one flow in 64.
+// histogram gets one sample per batch that holds a sample point.
 func TestObserveAllConcurrent(t *testing.T) {
 	const workers, batch = 8, 37
 	flows := flowMix(t, 64*batch+11)
@@ -224,8 +272,10 @@ func TestObserveAllConcurrent(t *testing.T) {
 			t.Errorf("%s: observed_total delta %d, want %d", n, got, len(flows))
 		}
 	}
-	if got, want := h.Count()-timed0, int64((len(flows)+63)/64); got != want {
-		t.Errorf("timed %d flows, want %d (one in 64)", got, want)
+	// Every batch is shorter than TimeEvery, so each of the sample
+	// points among the flows' sequence numbers lies in its own batch.
+	if got, want := h.Count()-timed0, int64((len(flows)+pipeline.TimeEvery-1)/pipeline.TimeEvery); got != want {
+		t.Errorf("%d samples, want %d (one per batch holding a sample point)", got, want)
 	}
 	res := p.Results()
 	pos := map[int64]int{}

@@ -126,13 +126,13 @@ func TestObserveDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// segmentAnalyzer records every flow it folds, and how many came
-// through Observe and how many ObserveAll segments it took.
+// segmentAnalyzer records every flow it folds, the length of each
+// ObserveAll call and how many flows came through Observe.
 type segmentAnalyzer struct {
-	mu       sync.Mutex
-	ids      []int64
-	single   int
-	segments int
+	mu     sync.Mutex
+	ids    []int64
+	single int
+	calls  []int
 }
 
 func (a *segmentAnalyzer) Observe(f *capture.Flow) {
@@ -148,16 +148,17 @@ func (a *segmentAnalyzer) ObserveAll(fs []*capture.Flow) {
 	for _, f := range fs {
 		a.ids = append(a.ids, f.ID)
 	}
-	a.segments++
+	a.calls = append(a.calls, len(fs))
 }
 
 func (a *segmentAnalyzer) Finalize() any { return nil }
 
-// TestBatchAnalyzerSegments: a BatchAnalyzer takes the flows between
-// sampled ones through ObserveAll and each sampled flow alone through
-// Observe. Across batch boundaries, with single flows mixed in, every
-// flow is folded exactly once in commit order, pipeline_observed_total
-// stays exact and one flow in timeEvery is timed.
+// TestBatchAnalyzerSegments: a BatchAnalyzer takes each batch whole in
+// one ObserveAll call, and each single flow through Observe. Across
+// batch boundaries every flow is folded exactly once in commit order,
+// pipeline_observed_total stays exact, and the histogram gets one
+// sample per batch or single flow that holds a sample point (a flow
+// numbered 1 mod timeEvery), however many points the batch holds.
 func TestBatchAnalyzerSegments(t *testing.T) {
 	const name = "batch-segments"
 	observed0 := obs.Default.Counter("pipeline_observed_total", "analyzer", name).Value()
@@ -168,33 +169,52 @@ func TestBatchAnalyzerSegments(t *testing.T) {
 	p.Register(name, a)
 
 	// A step is a batch of that many flows through ObserveAll, or -1 for
-	// one flow through Observe.
+	// one flow through Observe. Flow timeEvery+1 is a single flow; the
+	// batch of 3*timeEvery+7 holds three or four sample points.
 	var id int64
-	wantSingle := 0 // flows the analyzer should take through its Observe
+	var wantCalls []int
+	wantSingle := 0     // flows the analyzer should take through its Observe
+	var wantTimed int64 // batches and single flows holding a sample point
+	points := 0         // sample points folded
 	for _, n := range []int{1, timeEvery - 1, -1, timeEvery, timeEvery + 1, -1, 1, 2*timeEvery - 1, 0, 200, 3, 3*timeEvery + 7, -1, 1} {
 		if n < 0 {
 			id++
 			p.Observe(&capture.Flow{ID: id})
 			wantSingle++
+			if id%timeEvery == 1 {
+				wantTimed++
+				points++
+			}
 		} else {
 			batch := make([]*capture.Flow, n)
+			sampled := false
 			for i := range batch {
 				id++
 				batch[i] = &capture.Flow{ID: id}
 				if id%timeEvery == 1 {
-					wantSingle++ // sampled: timed alone
+					sampled = true
+					points++
 				}
+			}
+			if sampled {
+				wantTimed++
+			}
+			if n > 0 {
+				wantCalls = append(wantCalls, n)
 			}
 			p.ObserveAll(batch)
 		}
 		if got := obs.Default.Counter("pipeline_observed_total", "analyzer", name).Value() - observed0; got != id {
 			t.Fatalf("after %d flows: observed_total delta %d", id, got)
 		}
-		if got, want := h.Count()-timed0, (id+timeEvery-1)/timeEvery; got != want {
-			t.Fatalf("after %d flows: %d timed, want %d (one in %d)", id, got, want, timeEvery)
+		if got := h.Count() - timed0; got != wantTimed {
+			t.Fatalf("after %d flows: %d samples, want %d (one per batch holding a sample point)", id, got, wantTimed)
 		}
 		if a.single != wantSingle {
 			t.Fatalf("after %d flows: %d flows through Observe, want %d", id, a.single, wantSingle)
+		}
+		if !reflect.DeepEqual(a.calls, wantCalls) {
+			t.Fatalf("after %d flows: ObserveAll calls of %v flows, want one per batch: %v", id, a.calls, wantCalls)
 		}
 	}
 	if len(a.ids) != int(id) {
@@ -205,7 +225,7 @@ func TestBatchAnalyzerSegments(t *testing.T) {
 			t.Fatalf("fold %d took flow %d, want %d (a flow skipped, repeated or out of order)", i, got, i+1)
 		}
 	}
-	if a.segments == 0 || a.single+a.segments >= int(id) {
-		t.Fatalf("%d segments and %d single flows for %d flows: batches were not folded whole", a.segments, a.single, id)
+	if int64(points) <= wantTimed {
+		t.Fatalf("%d sample points in %d timed folds: no batch held two", points, wantTimed)
 	}
 }

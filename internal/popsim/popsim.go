@@ -375,9 +375,12 @@ func ticksOf(d time.Duration) uint32 {
 // Parallelism goroutines, the loop's own included, each take the next
 // job, synthesize it, stamp its reserved IDs and commit it as one
 // batch, so the flows are folded while they are still in cache. A
-// worker then releases the engine's reference on the job's flows, so
-// recycled records go back to the pool on the goroutine that
-// reacquires them, and the engine holds no flow between ticks.
+// worker then reclaims the engine's reference on the job's flows into
+// its own free list, which its next visit draws from: a record nobody
+// else holds is reused on the goroutine that filled it, without the
+// pool's round trip, and a record a store or sink still holds is never
+// reused. At the end of the tick each worker releases its spare
+// records to the pool, so the engine holds no flow between ticks.
 func (e *Engine) flush() {
 	jobs := e.jobs
 	if len(jobs) == 0 {
@@ -398,8 +401,9 @@ func (e *Engine) flush() {
 	var next atomic.Int64
 	work := func() {
 		var fs []*capture.Flow
+		var free freeList
 		for i := int(next.Add(1) - 1); i < len(jobs); i = int(next.Add(1) - 1) {
-			fs = e.model.synthesize(jobs[i], fs)
+			fs = e.model.synthesize(jobs[i], fs, &free)
 			if want := e.ids[i+1] - e.ids[i]; int64(len(fs)) != want {
 				panic(fmt.Sprintf("popsim: visit synthesized %d flows, %d IDs reserved", len(fs), want))
 			}
@@ -408,10 +412,18 @@ func (e *Engine) flush() {
 			}
 			e.cfg.DB.CommitAll(fs)
 			for k, f := range fs {
-				f.Release()
+				if f = f.Reclaim(); f != nil {
+					free = append(free, f)
+				}
 				fs[k] = nil
 			}
 			fs = fs[:0]
+		}
+		// Release resets a spare a second time (Reclaim already did):
+		// at most one visit's records per worker per tick, so a second
+		// record-reset entry point is not worth its API.
+		for _, f := range free {
+			f.Release()
 		}
 	}
 	var wg sync.WaitGroup

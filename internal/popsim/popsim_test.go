@@ -382,6 +382,87 @@ func runPinned(t *testing.T, h *popHarness, until time.Duration) {
 	}
 }
 
+// snapTap records every committed flow's JSON, with the ID zeroed,
+// keyed by ID. Batches arrive from several goroutines at once.
+type snapTap struct {
+	mu   sync.Mutex
+	byID map[int64]string
+	err  error
+}
+
+func (t *snapTap) Observe(f *capture.Flow) {
+	c := *f
+	c.ID = 0
+	b, err := json.Marshal(&c)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err != nil {
+		t.err = err
+	}
+	t.byID[f.ID] = string(b)
+}
+func (t *snapTap) Retract(int64) {}
+func (t *snapTap) Seal(int64)    {}
+
+// TestRetainedFlowsStayIntact: under RetainAll the stores hold every
+// committed flow, so no worker may reuse one of those records for a
+// later visit. After each run step every stored flow has a unique ID,
+// the IDs cover the run-relative IDs 1..FlowsCommitted, and each flow
+// reads as the same flow of a fresh run under RetainNone, whose workers
+// reuse their records all the time.
+func TestRetainedFlowsStayIntact(t *testing.T) {
+	cfg := func(c *Config) {
+		c.Population = 200
+		c.Duration = 20 * time.Second
+		c.AdmitPerSec = 100
+		c.Parallelism = 2
+	}
+	kept, fresh := newPopHarness(t, cfg), newPopHarness(t, cfg)
+	if err := kept.db.SetRetention(capture.RetainAll); err != nil {
+		t.Fatal(err)
+	}
+	// The fresh run goes first and straight through: flow IDs come from
+	// one process-global allocator, so each run's IDs are contiguous
+	// only while the other one is idle.
+	ref := &snapTap{byID: map[int64]string{}}
+	fresh.db.SetTap(capture.Taps{fresh.pl, ref})
+	if err := fresh.engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ref.err != nil {
+		t.Fatal(ref.err)
+	}
+	for _, until := range []time.Duration{5 * time.Second, 10 * time.Second, 20 * time.Second} {
+		if err := kept.engine.RunUntil(until); err != nil {
+			t.Fatal(err)
+		}
+		stored := append(kept.db.Engine.All(), kept.db.Native.All()...)
+		if n := kept.engine.Stats().FlowsCommitted; int64(len(stored)) != n || n == 0 {
+			t.Fatalf("RunUntil(%v): %d flows stored, %d committed", until, len(stored), n)
+		}
+		seen := map[int64]bool{}
+		for _, f := range stored {
+			rel := f.ID - kept.engine.FlowIDBase()
+			if seen[rel] || rel < 1 || rel > int64(len(stored)) {
+				t.Fatalf("RunUntil(%v): stored run-relative ID %d repeated or out of range", until, rel)
+			}
+			seen[rel] = true
+			c := *f
+			c.ID = 0
+			got, err := json.Marshal(&c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ref.byID[fresh.engine.FlowIDBase()+rel]; string(got) != want {
+				t.Fatalf("RunUntil(%v): stored flow %d changed after commit:\n got %s\nwant %s", until, rel, got, want)
+			}
+		}
+	}
+	if n := kept.engine.Stats().FlowsCommitted; int64(len(ref.byID)) != n {
+		t.Fatalf("fresh run committed %d flows, the retained run %d", len(ref.byID), n)
+	}
+}
+
 // TestPopulationBoundedResidency is the 10k-user smoke: under
 // RetainNone nothing stays resident in the capture stores, sampling
 // stays under its cap, and the analyses still come out populated.
@@ -571,11 +652,12 @@ func TestMarketShareAssignment(t *testing.T) {
 func TestFlowCountMatchesSynthesize(t *testing.T) {
 	m := modelWith(t, 42, websim.Dataset(50))
 	var fs []*capture.Flow
+	var free freeList
 	for p := range m.profiles {
 		for site := range m.sites {
 			for _, sampled := range []bool{false, true} {
 				j := synthJob{user: uint32(7 * site), sess: 1, visit: 2, pIdx: p, siteIdx: site, sampled: sampled}
-				fs = m.synthesize(j, fs[:0])
+				fs = m.synthesize(j, fs[:0], &free)
 				if want := m.flowCount(j); len(fs) != want {
 					t.Errorf("%s on %s (sampled %v): synthesized %d flows, flowCount %d",
 						m.profiles[p].p.Name, m.sites[site].domain, sampled, len(fs), want)

@@ -51,11 +51,31 @@ func (m *Model) flowCount(j synthJob) int {
 	return n
 }
 
+// freeList is one committing worker's spare flow records: records it
+// reclaimed from visits it committed, for its next visit. A record
+// another holder still references is never on it (Flow.Reclaim returns
+// nil for it), and it holds at most one visit's records.
+type freeList []*capture.Flow
+
+// acquire takes a spare record, or one from the capture pool when there
+// is none. Either way it holds one reference, owned by the caller.
+func (l *freeList) acquire() *capture.Flow {
+	n := len(*l)
+	if n == 0 {
+		return capture.AcquireFlow()
+	}
+	f := (*l)[n-1]
+	(*l)[n-1] = nil
+	*l = (*l)[:n-1]
+	return f
+}
+
 // synthesize renders one visit's traffic — the engine fetches and the
 // profile's native phone-home behaviours — as capture flows in their
-// canonical order, appended to out. Flows come from the capture pool
-// and carry no ID; the engine stamps the IDs it reserved for the job.
-func (m *Model) synthesize(j synthJob, out []*capture.Flow) []*capture.Flow {
+// canonical order, appended to out. Flows come from free, then the
+// capture pool, and carry no ID; the engine stamps the IDs it reserved
+// for the job.
+func (m *Model) synthesize(j synthJob, out []*capture.Flow, free *freeList) []*capture.Flow {
 	ps := m.profiles[j.pIdx]
 	site := &m.sites[j.siteIdx]
 	visitURL := ""
@@ -64,7 +84,7 @@ func (m *Model) synthesize(j synthJob, out []*capture.Flow) []*capture.Flow {
 	}
 
 	// --- Engine plane: the document plus its sub-resources. ---
-	f := m.newFlow(ps, j, capture.OriginEngine, visitURL)
+	f := m.newFlow(free, ps, j, capture.OriginEngine, visitURL)
 	f.Method = http.MethodGet
 	f.Host = site.domain
 	f.Path = "/"
@@ -77,7 +97,7 @@ func (m *Model) synthesize(j synthJob, out []*capture.Flow) []*capture.Flow {
 		if ps.p.EngineAdBlock && r.adRelated {
 			continue // the engine's filter list blocks ad embeds
 		}
-		f := m.newFlow(ps, j, capture.OriginEngine, visitURL)
+		f := m.newFlow(free, ps, j, capture.OriginEngine, visitURL)
 		f.Method = http.MethodGet
 		f.Host = r.host
 		f.Path = r.path
@@ -98,7 +118,7 @@ func (m *Model) synthesize(j synthJob, out []*capture.Flow) []*capture.Flow {
 		if method == "" {
 			method = http.MethodGet
 		}
-		f := m.newFlow(ps, j, capture.OriginNative, visitURL)
+		f := m.newFlow(free, ps, j, capture.OriginNative, visitURL)
 		f.Method = method
 		f.Host = t.Host
 		f.Path = t.Path
@@ -113,7 +133,7 @@ func (m *Model) synthesize(j synthJob, out []*capture.Flow) []*capture.Flow {
 	// query: the matrix needs evidence, not volume, and the per-flow
 	// finding entries it keeps must stay bounded.
 	if ps.piiQuery != "" {
-		f := m.newFlow(ps, j, capture.OriginNative, visitURL)
+		f := m.newFlow(free, ps, j, capture.OriginNative, visitURL)
 		f.Method = http.MethodGet
 		f.Host = ps.p.PIICarrier
 		f.Path = "/device/profile"
@@ -131,7 +151,7 @@ func (m *Model) synthesize(j synthJob, out []*capture.Flow) []*capture.Flow {
 	seq := uint64(j.sess)<<8 | uint64(j.visit)
 	for i := 0; i < ps.p.VisitNoise && len(ps.p.NoiseHosts) > 0; i++ {
 		host := ps.p.NoiseHosts[int(m.r.raw(streamNoise, uint64(j.user), seq, uint64(i))%uint64(len(ps.p.NoiseHosts)))]
-		f := m.newFlow(ps, j, capture.OriginNative, visitURL)
+		f := m.newFlow(free, ps, j, capture.OriginNative, visitURL)
 		f.Host = host
 		f.Path = "/beacon"
 		if ps.p.NoiseBytes > 0 {
@@ -147,7 +167,7 @@ func (m *Model) synthesize(j synthJob, out []*capture.Flow) []*capture.Flow {
 	}
 	// WebSocket push telemetry: the visited URL rides inside the frame.
 	if ps.p.WSTelemetryHost != "" {
-		f := m.newFlow(ps, j, capture.OriginNative, visitURL)
+		f := m.newFlow(free, ps, j, capture.OriginNative, visitURL)
 		f.Method = "WS"
 		f.Scheme = "wss"
 		f.Host = ps.p.WSTelemetryHost
@@ -164,19 +184,19 @@ func (m *Model) synthesize(j synthJob, out []*capture.Flow) []*capture.Flow {
 	// Table-2 country finding on every flow that carries it, and the
 	// matrix analyzer logs one entry per finding-carrying flow.
 	if ps.dohHost != "" {
-		out = append(out, m.dohFlow(ps, j, site.domain, visitURL))
+		out = append(out, m.dohFlow(free, ps, j, site.domain, visitURL))
 		if ps.dohQname != "" && j.sampled {
-			out = append(out, m.dohFlow(ps, j, ps.dohQname, visitURL))
+			out = append(out, m.dohFlow(free, ps, j, ps.dohQname, visitURL))
 		}
 	}
 	return out
 }
 
-// newFlow acquires a pooled flow and stamps the fields every
+// newFlow takes a spare or pooled flow and stamps the fields every
 // population flow shares. Attempt stays 0: population visits commit
 // outside any attempt window, which DB.CommitAll requires.
-func (m *Model) newFlow(ps *profileSynth, j synthJob, o capture.Origin, visitURL string) *capture.Flow {
-	f := capture.AcquireFlow()
+func (m *Model) newFlow(free *freeList, ps *profileSynth, j synthJob, o capture.Origin, visitURL string) *capture.Flow {
+	f := free.acquire()
 	f.Time = j.when
 	f.Browser = ps.p.Name
 	f.BrowserUID = ps.uid
@@ -200,8 +220,8 @@ func (m *Model) stampNativeTransport(ps *profileSynth, f *capture.Flow) {
 
 // dohFlow renders one RFC 8484 POST to the profile's resolver with the
 // packed DNS query as its body.
-func (m *Model) dohFlow(ps *profileSynth, j synthJob, qname, visitURL string) *capture.Flow {
-	f := m.newFlow(ps, j, capture.OriginNative, visitURL)
+func (m *Model) dohFlow(free *freeList, ps *profileSynth, j synthJob, qname, visitURL string) *capture.Flow {
+	f := m.newFlow(free, ps, j, capture.OriginNative, visitURL)
 	f.Method = http.MethodPost
 	f.Host = ps.dohHost
 	f.Path = "/dns-query"

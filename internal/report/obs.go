@@ -112,8 +112,9 @@ func CampaignObsSummary(w io.Writer, r *obs.Registry) {
 
 // PipelineObsSummary renders the streaming-analysis view: one row per
 // registered analyzer with observe counts, retracted-attempt counts and
-// per-flow observe-latency percentiles (over the pipeline's sampled
-// timings), plus the retention picture —
+// per-flow observe-latency percentiles over the pipeline's sampled
+// timings, with their sample count so a short run shows how few points
+// its percentiles rest on, plus the retention picture —
 // flows still resident in each capture database versus flows spilled
 // to the JSONL sink.
 func PipelineObsSummary(w io.Writer, r *obs.Registry) {
@@ -129,19 +130,19 @@ func PipelineObsSummary(w io.Writer, r *obs.Registry) {
 	}
 	sort.Strings(names)
 	fmt.Fprintln(w, "Streaming pipeline summary")
-	fmt.Fprintf(w, "  %-20s %10s %10s %10s %10s\n", "analyzer", "observed", "retracted", "p50*", "p95*")
+	fmt.Fprintf(w, "  %-20s %10s %10s %8s %10s %10s\n", "analyzer", "observed", "retracted", "samples", "p50*", "p95*")
 	for _, a := range names {
 		h := r.Histogram("pipeline_observe_seconds", nil, "analyzer", a)
 		p50, p95 := "-", "-"
 		if h.Count() > 0 {
 			p50, p95 = formatLatency(h.Quantile(0.50)), formatLatency(h.Quantile(0.95))
 		}
-		fmt.Fprintf(w, "  %-20s %10d %10d %10s %10s\n", a,
+		fmt.Fprintf(w, "  %-20s %10d %10d %8d %10s %10s\n", a,
 			r.Counter("pipeline_observed_total", "analyzer", a).Value(),
 			r.Counter("pipeline_retractions_total", "analyzer", a).Value(),
-			p50, p95)
+			h.Count(), p50, p95)
 	}
-	fmt.Fprintln(w, "  * latency sampled: the first flow and every 64th after it")
+	fmt.Fprintln(w, "  * latency sampled: a sample is a batch's per-flow mean, one per batch holding the first flow or a 1024th after it")
 	fmt.Fprintf(w, "  resident flows         %d engine / %d native\n",
 		int64(r.Gauge("capture_store_flows", "db", "engine").Value()),
 		int64(r.Gauge("capture_store_flows", "db", "native").Value()))

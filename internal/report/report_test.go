@@ -258,17 +258,26 @@ func TestVolumeCrossCheckRendering(t *testing.T) {
 
 func TestPipelineObsSummaryLabelsSampledLatency(t *testing.T) {
 	r := obs.NewRegistry()
-	r.Counter("pipeline_observed_total", "analyzer", "fig2").Add(130)
+	r.Counter("pipeline_observed_total", "analyzer", "fig2").Add(1030)
 	h := r.Histogram("pipeline_observe_seconds", obs.ExponentialBuckets(1e-6, 4, 10), "analyzer", "fig2")
-	for range 3 { // flows 1, 65 and 129 of 130
+	for range 2 { // the batches holding flows 1 and 1025 of 1030
 		h.Observe(2e-6)
 	}
 	var b strings.Builder
 	PipelineObsSummary(&b, r)
 	out := b.String()
-	for _, want := range []string{"p50*", "p95*", "latency sampled: the first flow and every 64th", " 130 "} {
+	for _, want := range []string{"p50*", "p95*", "latency sampled: a sample is a batch's per-flow mean", " 1030 "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary lacks %q:\n%s", want, out)
 		}
+	}
+	rowOK := false
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) > 3 && f[0] == "fig2" {
+			rowOK = len(f) == 6 && f[1] == "1030" && f[3] == "2"
+		}
+	}
+	if !rowOK {
+		t.Errorf("fig2 row lacks 1030 observed and 2 samples:\n%s", out)
 	}
 }

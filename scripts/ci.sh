@@ -106,7 +106,7 @@ echo "==> fault-seed chaos smoke (10% fault rate campaign under -race, all trans
 go test -race -p 1 -count=1 -run 'TestChaosCampaign|TestFaultCampaignDeterminism|TestDataPlaneDeterminism|TestFabricDeterminism' \
     ./internal/core/ ./internal/faultsim/ ./internal/fabric/
 
-echo "==> population engine gate (determinism keystone + per-visit job IDs + flow recycling + flow counts + 10k-user bounded-residency smoke under -race, GOMAXPROCS 1 and 4)"
+echo "==> population engine gate (determinism keystone + per-visit job IDs + flow recycling + retained-flow integrity + flow counts + 10k-user bounded-residency smoke under -race, GOMAXPROCS 1 and 4)"
 # The population keystone pins the analyses byte-identical across
 # synthesis parallelism 1/8, pause/resume, and a dense run folded in
 # batches versus flow by flow; its job-ID case requires every committed
@@ -116,13 +116,16 @@ echo "==> population engine gate (determinism keystone + per-visit job IDs + flo
 # once, so their batches reach the pipeline concurrently.
 # TestRunUntilHoldsNoFlows requires every committed flow to be recycled
 # after RunUntil, also when a tick holds hundreds of visits.
+# TestRetainedFlowsStayIntact requires every flow a RetainAll store
+# holds to stay intact after later ticks: a committing goroutine reuses
+# only the records it reclaims as their last holder.
 # TestFlowCountMatchesSynthesize holds the count the loop reserves IDs
 # by to what synthesis renders. The bounded-residency smoke runs 10k
 # users under retain=none and requires zero resident flows and
 # head-sampling under its cap. -cpu 1,4 runs each with the committing
 # goroutines on one P and on several.
 go test -race -count=1 -cpu 1,4 \
-    -run 'TestPopulationDeterminism|TestPopulationBoundedResidency|TestRunUntilHoldsNoFlows|TestFlowCountMatchesSynthesize|TestTemplateMatchesReplacer' \
+    -run 'TestPopulationDeterminism|TestPopulationBoundedResidency|TestRunUntilHoldsNoFlows|TestRetainedFlowsStayIntact|TestFlowCountMatchesSynthesize|TestTemplateMatchesReplacer' \
     ./internal/popsim/
 
 # The benchmark smokes below only check that every benchmark still runs;
