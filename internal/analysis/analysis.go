@@ -229,9 +229,12 @@ type TrackableID struct {
 	Host    string
 	Param   string
 	// Values observed, sorted; a single stable value across many
-	// visits is the tracking signal, multiple values indicate rotation.
+	// visits is the tracking signal. Several values are a rotating
+	// identifier or several installs: flows carry no install key, so
+	// a population run's per-user identifiers also show up here.
 	Values []string
-	// Sightings counts the flows carrying the parameter.
+	// Sightings counts the native flows whose identifier hits name
+	// the parameter, once per flow.
 	Sightings int
 }
 

@@ -205,45 +205,61 @@ func TestBatchFoldMatchesObserve(t *testing.T) {
 
 // TestBatchFoldConcurrent: batches folded from eight goroutines at
 // once, analyzer by analyzer as the pipeline folds them, finalize to the
-// per-flow JSON. Each goroutine commits its own browsers' batches in
-// order while the browsers interleave freely at every analyzer, as a
-// crawl's parallel attempt seals do: TrackableAnalyzer's sightings
-// depend on the order of one browser's flows to a host (a flow that
-// carries a value before the flow that introduces it is not counted), so
-// only the order across browsers is free.
+// per-flow JSON. The batches are shuffled and each goroutine takes
+// whichever is next, so any goroutine folds any browser's batches in
+// any order.
 func TestBatchFoldConcurrent(t *testing.T) {
 	const workers = 8
 	for order, fs := range batchOrders(t) {
 		t.Run(order, func(t *testing.T) {
 			want := perFlow(t, fs)
 			as := elevenAnalyzers(t)
-			streams := map[string][]*capture.Flow{} // browser -> its flows, in order
-			for _, f := range fs {
-				streams[f.Browser] = append(streams[f.Browser], f)
-			}
-			if len(streams) != workers {
-				t.Fatalf("%d browser streams, want one per goroutine (%d)", len(streams), workers)
-			}
-			var browsers []string
-			for b := range streams {
-				browsers = append(browsers, b)
-			}
-			slices.Sort(browsers)
 			rng := rand.New(rand.NewSource(5))
+			batches := splitBatches(fs, rng)
+			rng.Shuffle(len(batches), func(i, j int) { batches[i], batches[j] = batches[j], batches[i] })
+			next := make(chan []*capture.Flow)
 			var wg sync.WaitGroup
-			for _, b := range browsers {
-				batches := splitBatches(streams[b], rng)
+			for range workers {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					for _, batch := range batches {
+					for batch := range next {
 						for _, e := range as {
 							e.a.ObserveAll(batch)
 						}
 					}
 				}()
 			}
+			for _, b := range batches {
+				next <- b
+			}
+			close(next)
 			wg.Wait()
+			compareFinal(t, finalJSON(t, as), want)
+		})
+	}
+}
+
+// TestFoldOrderFree: every analyzer is a fold over the flow multiset.
+// Twenty seeded permutations of the sample and the synthetic visits,
+// each cut into random batches, finalize to the JSON of the commit-order
+// per-flow fold, for all eleven analyzers. The synthetic visits send
+// one identifier value under two parameters of a host, so a sighting
+// count that depends on which flow came first fails here.
+func TestFoldOrderFree(t *testing.T) {
+	flows := batchFlows(t)
+	want := perFlow(t, flows)
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			fs := slices.Clone(flows)
+			rng.Shuffle(len(fs), func(i, j int) { fs[i], fs[j] = fs[j], fs[i] })
+			as := elevenAnalyzers(t)
+			for _, b := range splitBatches(fs, rng) {
+				for _, e := range as {
+					e.a.ObserveAll(b)
+				}
+			}
 			compareFinal(t, finalJSON(t, as), want)
 		})
 	}

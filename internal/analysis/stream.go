@@ -1,10 +1,8 @@
 package analysis
 
 import (
-	"net/url"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -337,33 +335,30 @@ func (a *DNSAnalyzer) Usage() map[string]string {
 // Finalize implements pipeline.Analyzer.
 func (a *DNSAnalyzer) Finalize() any { return a.Usage() }
 
-// TrackableAnalyzer mines native flows for persistent identifiers and
-// counts their sightings incrementally (the §3.2 track-across-sessions
-// signal). Per flow it first records newly seen identifier values
-// (values travel in the flow that introduces them), then counts the
-// flow as a sighting of any known identifier of the same browser and
-// host that appears in its query or body — so a stable identifier's
-// sighting count is the number of flows that carry it. State is indexed
-// by browser, then host, so a flow searches only its own host's
-// identifiers.
+// TrackableAnalyzer mines native flows for persistent identifiers (the
+// §3.2 track-across-sessions signal). An identifier is a (browser, host,
+// param) whose leak.ExtractIDs hits carry ID-shaped values; a sighting
+// is a native flow whose hits name the param, counted once per flow
+// however often the flow names it. Values union and sightings add, so
+// the fold does not depend on flow order. State is indexed by browser,
+// then host.
 type TrackableAnalyzer struct {
 	mu  sync.Mutex
 	ids map[string]map[string]map[string]*trackedID // browser -> host -> param -> identifier
 }
 
 // trackedID is one mined identifier: its distinct values in first-seen
-// order and the number of flows that carried one of them.
+// order and the number of flows whose hits named it.
 type trackedID struct {
 	values    []string
 	sightings int
 }
 
-// trackScan is one native flow's identifier hits and sighting haystack,
-// parsed before the state lock is taken.
+// trackScan is one native flow's identifier hits, extracted before the
+// state lock is taken.
 type trackScan struct {
 	f    *capture.Flow
 	hits []leak.IDHit
-	hay  string
 }
 
 // NewTrackableAnalyzer builds an empty miner.
@@ -375,8 +370,8 @@ func NewTrackableAnalyzer() *TrackableAnalyzer {
 func (a *TrackableAnalyzer) Observe(f *capture.Flow) { a.ObserveAll([]*capture.Flow{f}) }
 
 // ObserveAll mines a committed batch's native flows. Extraction runs
-// before the lock; each run of same-browser flows then looks its host
-// index up once.
+// before the lock, and a batch with no hits takes no lock; each run of
+// same-browser flows then looks its host index up once.
 func (a *TrackableAnalyzer) ObserveAll(fs []*capture.Flow) {
 	var buf [32]trackScan // a visit's native flows usually fit
 	scans := buf[:0]
@@ -384,11 +379,9 @@ func (a *TrackableAnalyzer) ObserveAll(fs []*capture.Flow) {
 		if f.Origin != capture.OriginNative {
 			continue
 		}
-		hay := f.RawQuery + string(f.Body)
-		if dec, err := url.QueryUnescape(f.RawQuery); err == nil {
-			hay += dec
+		if hits := leak.ExtractIDs(f); len(hits) > 0 {
+			scans = append(scans, trackScan{f: f, hits: hits})
 		}
-		scans = append(scans, trackScan{f: f, hits: leak.ExtractIDs(f), hay: hay})
 	}
 	if len(scans) == 0 {
 		return
@@ -399,33 +392,27 @@ func (a *TrackableAnalyzer) ObserveAll(fs []*capture.Flow) {
 	for i, sc := range scans {
 		f := sc.f
 		if i == 0 || f.Browser != scans[i-1].f.Browser {
-			byHost = a.ids[f.Browser]
+			if byHost = a.ids[f.Browser]; byHost == nil {
+				byHost = map[string]map[string]*trackedID{}
+				a.ids[f.Browser] = byHost
+			}
 		}
 		params := byHost[f.Host]
-		for _, hit := range sc.hits {
-			if params == nil {
-				if byHost == nil {
-					byHost = map[string]map[string]*trackedID{}
-					a.ids[f.Browser] = byHost
-				}
-				params = map[string]*trackedID{}
-				byHost[f.Host] = params
-			}
+		if params == nil {
+			params = map[string]*trackedID{}
+			byHost[f.Host] = params
+		}
+		for j, hit := range sc.hits {
 			id := params[hit.Key]
 			if id == nil {
 				id = &trackedID{}
 				params[hit.Key] = id
 			}
+			if !slices.ContainsFunc(sc.hits[:j], func(h leak.IDHit) bool { return h.Key == hit.Key }) {
+				id.sightings++
+			}
 			if !slices.Contains(id.values, hit.Value) {
 				id.values = append(id.values, hit.Value)
-			}
-		}
-		for _, id := range params {
-			for _, v := range id.values {
-				if strings.Contains(sc.hay, v) {
-					id.sightings++
-					break
-				}
 			}
 		}
 	}
@@ -439,9 +426,10 @@ func (a *TrackableAnalyzer) Reset() {
 }
 
 // IDs reports the mined identifiers, most-persistent first (fewest
-// distinct values over most sightings), each with its values sorted:
-// the order they were first seen in depends on how concurrent commits
-// interleaved.
+// distinct values over most sightings), each with its values sorted
+// and its sightings the number of native flows that named it: the
+// order values were first seen in depends on flow order, the report
+// does not.
 func (a *TrackableAnalyzer) IDs() []TrackableID {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -39,9 +39,9 @@ func TestTrackableTieBreakComparesFields(t *testing.T) {
 
 // TestTrackableValuesAndSightings folds a rotated identifier: values
 // are kept per browser, host and parameter and reported sorted (the
-// rotated-in id2 is fed first), every flow
-// carrying a known value is a sighting, and short or non-hex values are
-// not identifiers.
+// rotated-in id2 is fed first), a sighting is a flow whose hits name
+// the parameter, counted once even when the flow names it in both its
+// query and its body, and short or non-hex values are not identifiers.
 func TestTrackableValuesAndSightings(t *testing.T) {
 	id1 := "a1b2c3d4e5f60718293a4b5c6d7e8f90a1b2c3d4e5f60718293a4b5c6d7e8f90"
 	id2 := "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"
@@ -50,12 +50,14 @@ func TestTrackableValuesAndSightings(t *testing.T) {
 		a.Observe(&capture.Flow{Browser: "Yandex", Host: "api.browser.yandex.ru", Origin: capture.OriginNative,
 			RawQuery: "host=x.example&" + q})
 	}
+	a.Observe(&capture.Flow{Browser: "Yandex", Host: "api.browser.yandex.ru", Origin: capture.OriginNative,
+		RawQuery: "uuid=" + id1, Body: []byte(`{"uuid":"` + id2 + `"}`)})
 	ids := a.IDs()
 	if len(ids) != 1 {
 		t.Fatalf("ids = %+v", ids)
 	}
-	if got := ids[0]; got.Param != "uuid" || len(got.Values) != 2 || got.Values[0] != id1 || got.Values[1] != id2 || got.Sightings != 3 {
-		t.Fatalf("id = %+v, want uuid with [id1 id2] over 3 sightings", got)
+	if got := ids[0]; got.Param != "uuid" || len(got.Values) != 2 || got.Values[0] != id1 || got.Values[1] != id2 || got.Sightings != 4 {
+		t.Fatalf("id = %+v, want uuid with [id1 id2] over 4 sightings", got)
 	}
 }
 

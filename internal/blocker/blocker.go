@@ -15,6 +15,7 @@ package blocker
 
 import (
 	"fmt"
+	"maps"
 	"net/http"
 	"sync"
 
@@ -55,14 +56,6 @@ const (
 	ReasonHistoryLeak Reason = "history-leak"
 )
 
-// Decision records one veto.
-type Decision struct {
-	Browser string
-	Host    string
-	Reason  Reason
-	Detail  string
-}
-
 // Blocker implements mitm.Addon and mitm.Vetoer.
 type Blocker struct {
 	policy Policy
@@ -70,7 +63,7 @@ type Blocker struct {
 	leaks  *leak.Detector // compiles each visit once across flows
 
 	mu         sync.Mutex
-	blocked    []Decision
+	blocked    map[Reason]int
 	examined   int
 	enginePass int
 }
@@ -80,7 +73,7 @@ func New(policy Policy, list *hostlist.List) *Blocker {
 	if list == nil {
 		list = hostlist.Bundled()
 	}
-	return &Blocker{policy: policy, list: list, leaks: leak.NewDetector()}
+	return &Blocker{policy: policy, list: list, leaks: leak.NewDetector(), blocked: map[Reason]int{}}
 }
 
 // Request implements mitm.Addon (classification happens in Veto).
@@ -111,28 +104,26 @@ func (b *Blocker) Veto(f *capture.Flow, req *http.Request) error {
 	}
 
 	if b.policy.BlockAdHosts && b.list.AdRelated(f.Host) {
-		return b.block(f, ReasonAdHost, f.Host)
+		return b.block(ReasonAdHost, f.Host)
 	}
 
 	if b.policy.BlockHistoryLeaks {
 		if fnd, hit := b.leaks.ScanFlow(f); hit {
-			return b.block(f, ReasonHistoryLeak, fmt.Sprintf("%s (%s)", fnd.Kind, fnd.Encoding))
+			return b.block(ReasonHistoryLeak, fmt.Sprintf("%s (%s)", fnd.Kind, fnd.Encoding))
 		}
 	}
 
 	if b.policy.BlockPII {
 		if findings := pii.ScanFlow(f); len(findings) > 0 {
-			return b.block(f, ReasonPII, string(findings[0].Attribute))
+			return b.block(ReasonPII, string(findings[0].Attribute))
 		}
 	}
 	return nil
 }
 
-func (b *Blocker) block(f *capture.Flow, reason Reason, detail string) error {
+func (b *Blocker) block(reason Reason, detail string) error {
 	b.mu.Lock()
-	b.blocked = append(b.blocked, Decision{
-		Browser: f.Browser, Host: f.Host, Reason: reason, Detail: detail,
-	})
+	b.blocked[reason]++
 	b.mu.Unlock()
 	return fmt.Errorf("%s: %s", reason, detail)
 }
@@ -151,21 +142,11 @@ func (b *Blocker) Stats() Stats {
 	defer b.mu.Unlock()
 	s := Stats{
 		NativeExamined: b.examined,
-		NativeBlocked:  len(b.blocked),
 		EnginePassed:   b.enginePass,
-		ByReason:       map[Reason]int{},
+		ByReason:       maps.Clone(b.blocked),
 	}
-	for _, d := range b.blocked {
-		s.ByReason[d.Reason]++
+	for _, n := range b.blocked {
+		s.NativeBlocked += n
 	}
 	return s
-}
-
-// Decisions returns a copy of the block log.
-func (b *Blocker) Decisions() []Decision {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]Decision, len(b.blocked))
-	copy(out, b.blocked)
-	return out
 }

@@ -140,19 +140,31 @@ func TestPolicyToggles(t *testing.T) {
 	}
 }
 
+// TestDecisionsLog: in a Yandex-only world every veto is one of
+// Yandex's native requests, counted under a known reason.
 func TestDecisionsLog(t *testing.T) {
 	w, b := worldWithBlocker(t, blocker.DefaultPolicy(), "Yandex")
 	if _, err := w.RunCampaign(core.CampaignConfig{Sites: w.Sites[:2]}); err != nil {
 		t.Fatal(err)
 	}
-	ds := b.Decisions()
-	if len(ds) == 0 {
-		t.Fatal("no decisions logged")
+	st := b.Stats()
+	if st.NativeBlocked == 0 {
+		t.Fatal("no vetoes counted")
 	}
-	for _, d := range ds {
-		if d.Browser != "Yandex" || d.Host == "" || d.Reason == "" {
-			t.Fatalf("bad decision %+v", d)
+	if st.NativeBlocked > st.NativeExamined {
+		t.Fatalf("%d vetoes of %d native requests examined", st.NativeBlocked, st.NativeExamined)
+	}
+	sum := 0
+	for r, n := range st.ByReason {
+		switch r {
+		case blocker.ReasonAdHost, blocker.ReasonPII, blocker.ReasonHistoryLeak:
+		default:
+			t.Fatalf("veto under unknown reason %q", r)
 		}
+		sum += n
+	}
+	if sum != st.NativeBlocked {
+		t.Fatalf("reasons sum to %d, want %d vetoes", sum, st.NativeBlocked)
 	}
 }
 

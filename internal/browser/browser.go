@@ -416,7 +416,7 @@ func (b *Browser) buildClients() {
 		}
 	default:
 		resolve = func(host string) error {
-			_, err := b.dev.Resolver().Lookup(b.Pkg.UID, host)
+			_, err := b.dev.Resolver().Lookup(host)
 			return err
 		}
 	}

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"panoptes/internal/capture"
+	"panoptes/internal/dnsmsg"
+	"panoptes/internal/obs"
 	"panoptes/internal/profiles"
 	"panoptes/internal/vclock"
 	"panoptes/internal/websim"
@@ -373,6 +375,8 @@ func TestEngineAdBlockCocCoc(t *testing.T) {
 
 func TestDNSModesObservable(t *testing.T) {
 	w := smallWorld(t, 4, "Edge", "Yandex")
+	stub := obs.Default.Counter("dns_queries_total", "transport", "stub", "type", dnsmsg.TypeA.String())
+	before := stub.Value()
 	if _, err := w.RunCampaign(CampaignConfig{Sites: w.Sites[:2]}); err != nil {
 		t.Fatal(err)
 	}
@@ -381,9 +385,13 @@ func TestDNSModesObservable(t *testing.T) {
 	if len(cfNames) == 0 {
 		t.Fatal("cloudflare DoH saw no queries from Edge")
 	}
-	// Yandex (local): stub resolver logged its lookups.
-	yandexUID := w.Browsers["Yandex"].UID()
-	if len(w.Device.Resolver().QueriesByUID(yandexUID)) == 0 {
+	// Yandex (local): resolved through the device stub. Edge resolves
+	// over DoH, so Yandex is the only browser here that moves the
+	// stub's counter.
+	if w.Browsers["Edge"].Profile.DNS != profiles.DNSDoHCloudflare {
+		t.Fatal("Edge resolves through the stub; the counter cannot single out Yandex")
+	}
+	if stub.Value() == before {
 		t.Fatal("stub resolver saw no Yandex queries")
 	}
 	// And Yandex never queried DoH (its UID produced no flows there).

@@ -2,60 +2,41 @@ package device
 
 import (
 	"net"
-	"sync"
-	"time"
 
 	"panoptes/internal/dnsmsg"
 	"panoptes/internal/obs"
 )
 
-// DNSQuery is one logged stub-resolver lookup. The §3.2 analysis compares
-// browsers that resolve through the device stub (their visited domains
-// appear here) against browsers that ship queries to third-party
-// DNS-over-HTTPS services (their lookups appear as HTTPS flows to
-// dns.google / cloudflare-dns.com instead).
-type DNSQuery struct {
-	Time time.Time
-	UID  int
-	Name string
-	Type dnsmsg.Type
-}
-
 // StubResolver is the device's local DNS stub (the 127.0.0.1:53 Android
 // resolver apps use by default). It answers from the virtual internet's
-// authoritative registry and logs every query with the caller's UID.
+// authoritative registry and counts every question in
+// dns_queries_total{transport="stub"}. The §3.2 analysis compares
+// browsers that resolve here against browsers that ship queries to
+// third-party DNS-over-HTTPS services (their lookups appear as HTTPS
+// flows to dns.google / cloudflare-dns.com instead).
 type StubResolver struct {
 	dev *Device
-
-	mu  sync.Mutex
-	log []DNSQuery
 }
 
 func newStubResolver(d *Device) *StubResolver {
 	return &StubResolver{dev: d}
 }
 
-// Lookup resolves name for the app with the given UID, logging the query.
-func (r *StubResolver) Lookup(uid int, name string) (net.IP, error) {
-	r.mu.Lock()
-	r.log = append(r.log, DNSQuery{Time: r.dev.Clock.Now(), UID: uid, Name: name, Type: dnsmsg.TypeA})
-	r.mu.Unlock()
+// Lookup resolves name, counting the query.
+func (r *StubResolver) Lookup(name string) (net.IP, error) {
 	obs.Default.Counter("dns_queries_total", "transport", "stub", "type", dnsmsg.TypeA.String()).Inc()
 	return r.dev.Net.LookupHost(name)
 }
 
 // Exchange answers a wire-format DNS query, for apps that speak the
 // protocol to the stub rather than calling the resolver API.
-func (r *StubResolver) Exchange(uid int, query []byte) ([]byte, error) {
+func (r *StubResolver) Exchange(query []byte) ([]byte, error) {
 	q, err := dnsmsg.Unpack(query)
 	if err != nil {
 		return nil, err
 	}
 	resp := dnsmsg.NewResponse(q, dnsmsg.RCodeSuccess)
 	for _, question := range q.Questions {
-		r.mu.Lock()
-		r.log = append(r.log, DNSQuery{Time: r.dev.Clock.Now(), UID: uid, Name: question.Name, Type: question.Type})
-		r.mu.Unlock()
 		obs.Default.Counter("dns_queries_total", "transport", "stub", "type", question.Type.String()).Inc()
 		if question.Type != dnsmsg.TypeA {
 			continue
@@ -70,33 +51,4 @@ func (r *StubResolver) Exchange(uid int, query []byte) ([]byte, error) {
 		})
 	}
 	return resp.Pack()
-}
-
-// Queries returns a copy of the query log.
-func (r *StubResolver) Queries() []DNSQuery {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]DNSQuery, len(r.log))
-	copy(out, r.log)
-	return out
-}
-
-// QueriesByUID filters the log.
-func (r *StubResolver) QueriesByUID(uid int) []DNSQuery {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []DNSQuery
-	for _, q := range r.log {
-		if q.UID == uid {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
-// ResetLog clears the query log (between campaigns).
-func (r *StubResolver) ResetLog() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.log = nil
 }

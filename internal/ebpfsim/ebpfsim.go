@@ -12,7 +12,6 @@ package ebpfsim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -85,29 +84,6 @@ func (m *Map) Get(key string) uint64 {
 	return m.vals[key]
 }
 
-// Keys returns all keys, sorted.
-func (m *Map) Keys() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.vals))
-	for k := range m.vals {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Snapshot copies the whole map.
-func (m *Map) Snapshot() map[string]uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make(map[string]uint64, len(m.vals))
-	for k, v := range m.vals {
-		out[k] = v
-	}
-	return out
-}
-
 // Reset clears the map.
 func (m *Map) Reset() {
 	m.mu.Lock()
@@ -169,20 +145,6 @@ func (r *Registry) Load(p *Program) error {
 	return nil
 }
 
-// Unload detaches a program by name from a hook.
-func (r *Registry) Unload(t AttachType, name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	list := r.progs[t]
-	for i, p := range list {
-		if p.Name == name {
-			r.progs[t] = append(list[:i:i], list[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // Fire runs every program attached at t. The aggregate action is Drop if
 // any program drops, Pass otherwise.
 func (r *Registry) Fire(t AttachType, ctx *Context) Action {
@@ -194,17 +156,6 @@ func (r *Registry) Fire(t AttachType, ctx *Context) Action {
 		if p.Run(ctx) == ActionDrop {
 			out = ActionDrop
 		}
-	}
-	return out
-}
-
-// Attached lists program names at a hook.
-func (r *Registry) Attached(t AttachType) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.progs[t]))
-	for _, p := range r.progs[t] {
-		out = append(out, p.Name)
 	}
 	return out
 }

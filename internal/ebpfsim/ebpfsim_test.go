@@ -85,31 +85,6 @@ func TestDropWins(t *testing.T) {
 	}
 }
 
-func TestUnload(t *testing.T) {
-	r := NewRegistry()
-	r.Load(&Program{Name: "a", Type: AttachEgress, MaxInstructions: 1,
-		Run: func(*Context) Action { return ActionDrop }})
-	if !r.Unload(AttachEgress, "a") {
-		t.Fatal("unload failed")
-	}
-	if r.Unload(AttachEgress, "a") {
-		t.Fatal("second unload succeeded")
-	}
-	if a := r.Fire(AttachEgress, &Context{}); a != ActionPass {
-		t.Fatal("unloaded program still firing")
-	}
-}
-
-func TestAttachedListing(t *testing.T) {
-	r := NewRegistry()
-	r.Load(&Program{Name: "one", Type: AttachEgress, MaxInstructions: 1, Run: func(*Context) Action { return 0 }})
-	r.Load(&Program{Name: "two", Type: AttachEgress, MaxInstructions: 1, Run: func(*Context) Action { return 0 }})
-	got := r.Attached(AttachEgress)
-	if len(got) != 2 || got[0] != "one" || got[1] != "two" {
-		t.Fatalf("attached = %v", got)
-	}
-}
-
 func TestMapBasics(t *testing.T) {
 	m := NewMap("test", 2)
 	if err := m.Add("a", 5); err != nil {
@@ -132,23 +107,12 @@ func TestMapBasics(t *testing.T) {
 	if err := m.Add("b", 1); err != nil {
 		t.Fatal(err)
 	}
-	keys := m.Keys()
-	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
-		t.Fatalf("keys = %v", keys)
+	if got := m.Get("b"); got != 2 {
+		t.Fatalf("b = %d", got)
 	}
 	m.Reset()
 	if m.Get("a") != 0 {
 		t.Fatal("reset did not clear")
-	}
-}
-
-func TestMapSnapshotIsolated(t *testing.T) {
-	m := NewMap("snap", 10)
-	m.Add("k", 1)
-	s := m.Snapshot()
-	s["k"] = 99
-	if m.Get("k") != 1 {
-		t.Fatal("snapshot aliases the map")
 	}
 }
 

@@ -29,11 +29,11 @@ func (p *ndjsonPublisher) Name() string { return "ndjson" }
 func (p *ndjsonPublisher) Close() error { return nil }
 
 func (p *ndjsonPublisher) Publish(batch []sink.Envelope) error {
-	raw, err := sink.EncodeNDJSON(batch)
-	if err != nil {
+	var raw bytes.Buffer
+	if err := sink.AppendNDJSON(&raw, batch); err != nil {
 		return err
 	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec := json.NewDecoder(&raw)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {

@@ -233,11 +233,6 @@ func (c *Conn) SetWriteDeadline(t time.Time) error {
 // Meta returns the simulation metadata attached at dial time.
 func (c *Conn) Meta() Meta { return c.meta }
 
-// SetMeta replaces the metadata on this endpoint. The device network stack
-// uses it to stamp the original destination before handing the server end
-// to the transparent proxy.
-func (c *Conn) SetMeta(m Meta) { c.meta = m }
-
 // SetByteHooks installs per-direction byte counters: onWrite runs with the
 // size of every successful Write, onRead with the size of every successful
 // Read. The device network stack wires these to its eBPF-style per-UID

@@ -268,7 +268,7 @@ func TrackableIDs(w io.Writer, ids []analysis.TrackableID) {
 	for _, id := range ids {
 		stability := "STABLE across all visits — survives cookie clearing, IP change, Tor"
 		if len(id.Values) > 1 {
-			stability = fmt.Sprintf("%d distinct values (rotating)", len(id.Values))
+			stability = fmt.Sprintf("%d distinct values (rotating, or %d installs: flows carry no install key)", len(id.Values), len(id.Values))
 		}
 		sample := id.Values[0]
 		if len(sample) > 16 {

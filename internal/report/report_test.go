@@ -234,7 +234,7 @@ func TestTrackableIDsRendering(t *testing.T) {
 	if !strings.Contains(out, "STABLE") || !strings.Contains(out, "seen 200×") {
 		t.Errorf("output:\n%s", out)
 	}
-	if !strings.Contains(out, "2 distinct values (rotating)") {
+	if !strings.Contains(out, "2 distinct values (rotating, or 2 installs: flows carry no install key)") {
 		t.Errorf("rotation case missing:\n%s", out)
 	}
 	sb.Reset()

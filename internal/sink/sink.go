@@ -564,13 +564,3 @@ func AppendNDJSON(buf *bytes.Buffer, batch []Envelope) error {
 	}
 	return nil
 }
-
-// EncodeNDJSON renders a batch as newline-delimited JSON in a fresh
-// allocation. Hot paths use AppendNDJSON with a pooled buffer instead.
-func EncodeNDJSON(batch []Envelope) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := AppendNDJSON(&buf, batch); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}

@@ -91,9 +91,6 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
-// When returns the instant at which the timer is (or was) due.
-func (t *Timer) When() time.Time { return t.when }
-
 // AfterFunc schedules fn to run when the clock has advanced by d.
 // A non-positive d schedules fn at the current instant; it still only runs
 // on the next Advance (or Fire) call, never inline.
@@ -101,17 +98,6 @@ func (c *Clock) AfterFunc(d time.Duration, fn func()) *Timer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.scheduleLocked(c.now.Add(d), fn)
-}
-
-// At schedules fn to run at the given instant. Instants in the past are
-// treated as the current instant.
-func (c *Clock) At(when time.Time, fn func()) *Timer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if when.Before(c.now) {
-		when = c.now
-	}
-	return c.scheduleLocked(when, fn)
 }
 
 func (c *Clock) scheduleLocked(when time.Time, fn func()) *Timer {

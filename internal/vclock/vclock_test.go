@@ -163,20 +163,6 @@ func TestTickPanicsOnNonPositivePeriod(t *testing.T) {
 	c.Tick(0, func() {})
 }
 
-func TestAtClampsPast(t *testing.T) {
-	c := New()
-	c.Advance(time.Hour)
-	fired := false
-	c.At(Epoch, func() { fired = true })
-	c.Fire()
-	if !fired {
-		t.Fatal("past-deadline timer did not fire at current instant")
-	}
-	if got := c.Since(Epoch); got != time.Hour {
-		t.Fatalf("clock moved to %v", got)
-	}
-}
-
 func TestAdvanceToBackwardsIsNoop(t *testing.T) {
 	c := New()
 	c.Advance(time.Hour)
@@ -319,14 +305,6 @@ func TestPropertyAdvanceAccumulates(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTimerWhen(t *testing.T) {
-	c := New()
-	tm := c.AfterFunc(90*time.Second, func() {})
-	if want := Epoch.Add(90 * time.Second); !tm.When().Equal(want) {
-		t.Fatalf("When = %v, want %v", tm.When(), want)
 	}
 }
 

@@ -33,7 +33,7 @@ import (
 type Interceptor func(req *http.Request) error
 
 // ResolveFunc performs name resolution for its observable side effects
-// (a stub-resolver log entry or a DoH HTTPS exchange).
+// (a counted stub-resolver query or a DoH HTTPS exchange).
 type ResolveFunc func(host string) error
 
 // Injection is a script a browser injects into every page. The engine
@@ -204,7 +204,7 @@ func (e *Engine) resolveOnce(host string) {
 	e.mu.Unlock()
 	if !done {
 		// Resolution failures surface later as dial errors; the lookup's
-		// side effect (stub log entry or DoH flow) is what matters here.
+		// side effect (stub query or DoH flow) is what matters here.
 		_ = e.cfg.Resolve(host)
 	}
 }
@@ -397,13 +397,4 @@ func ExtractResourceURLs(doc string) []string {
 		}
 	}
 	return out
-}
-
-// NewTLSConfig builds the engine TLS template from trust roots, virtual
-// time, and an optional pin verifier.
-func NewTLSConfig(roots *tls.Config) *tls.Config {
-	if roots == nil {
-		return &tls.Config{}
-	}
-	return roots.Clone()
 }

@@ -440,6 +440,3 @@ func (c *Conn) Close() error {
 	}
 	return c.conn.Close()
 }
-
-// UnderlyingConn exposes the transport, for tests.
-func (c *Conn) UnderlyingConn() net.Conn { return c.conn }

@@ -58,11 +58,12 @@ echo "==> concurrent batch fold (ObserveAll from 8 goroutines under -race, 10 ti
 # the race detector and the serial-Observe comparison more interleavings.
 go test -race -count=10 -run 'TestObserveAllConcurrent' ./internal/pipeline/
 
-echo "==> concurrent analyzer batch folds (the eleven analyzers' ObserveAll from 8 goroutines under -race, 10 times)"
+echo "==> order-free analyzer batch folds (the eleven analyzers' ObserveAll from 8 goroutines and over 20 permutations under -race, 10 times)"
 # Each analyzer takes a batch under one lock and keeps per-browser state
-# across the batch's same-browser runs; every result must equal the
-# per-flow Observe fold.
-go test -race -count=10 -run 'TestBatchFoldConcurrent' ./internal/analysis/
+# across the batch's same-browser runs. Any goroutine folds any
+# browser's batches in any order, and every flow permutation, cut into
+# random batches, must finalize to the commit-order per-flow fold.
+go test -race -count=10 -run 'TestBatchFoldConcurrent|TestFoldOrderFree' ./internal/analysis/
 
 echo "==> concurrent first-sight leak scans (8 goroutines through one detector under -race, 10 times)"
 # Each run interleaves the per-visit compiles and the map insert
