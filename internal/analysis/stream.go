@@ -25,8 +25,8 @@ import (
 //
 // Each analyzer has one fold, ObserveAll (pipeline.BatchAnalyzer), and
 // Observe is a batch of one. A batch takes the analyzer's lock once;
-// per-flow parsing (PII and leak scans, identifier extraction) runs
-// before it. A committed batch is usually one browser's visit, so the
+// per-flow parsing (PII and leak scans, identifier extraction) and
+// Figure 5's bins and registrable domains resolve before it. A committed batch is usually one browser's visit, so the
 // folds resolve per-browser state once per run of same-browser flows
 // (browserRun) and update it with plain adds.
 
@@ -666,56 +666,80 @@ func NewFig5Analyzer(browsers []string, start time.Time, duration time.Duration,
 // Observe folds one committed flow: a batch of one.
 func (c *Fig5Analyzer) Observe(f *capture.Flow) { c.ObserveAll([]*capture.Flow{f}) }
 
-// ObserveAll folds a committed batch's native flows into their time
-// bins, one run of same-browser flows at a time.
-func (c *Fig5Analyzer) ObserveAll(fs []*capture.Flow) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(fs) > 0 {
-		n := browserRun(fs)
-		c.foldRun(fs[:n])
-		fs = fs[n:]
-	}
+// fig5Run is one same-browser run of a batch's counted native flows,
+// resolved before the lock: its flows' bin offsets and its same-host
+// runs end at offsEnd and destsEnd in the batch's summary.
+type fig5Run struct {
+	browser           string
+	offsEnd, destsEnd int
 }
 
-// foldRun folds one browser's run of flows. The browser's bins and
-// destinations are looked up once, and each run of same-host flows
-// resolves its registrable domain once.
-func (c *Fig5Analyzer) foldRun(run []*capture.Flow) {
-	b := run[0].Browser
-	var bins []int // nil until the run's first counted flow
-	var dests map[string]int
-	host, hostN, total := "", 0, 0
-	for _, f := range run {
-		if f.Origin != capture.OriginNative || f.Time.Before(c.start) {
-			continue
-		}
-		if bins == nil {
-			if bins = c.bins[b]; bins == nil {
-				bins = make([]int, c.nBins)
-				c.bins[b] = bins
+// fig5Dest is a run of n same-host counted flows under its registrable
+// domain.
+type fig5Dest struct {
+	domain string
+	n      int
+}
+
+// ObserveAll folds a committed batch's native flows into their time
+// bins. Each counted flow's bin offset and each same-host run's
+// registrable domain resolve before the lock, into a summary that a
+// visit's flows usually fit on the stack; under the lock the fold only
+// adds, and a batch with no counted flow takes no lock.
+func (c *Fig5Analyzer) ObserveAll(fs []*capture.Flow) {
+	var (
+		runBuf  [4]fig5Run
+		offBuf  [64]int
+		destBuf [32]fig5Dest
+	)
+	runs, offs, dests := runBuf[:0], offBuf[:0], destBuf[:0]
+	for len(fs) > 0 {
+		n := browserRun(fs)
+		host, hostN, counted := "", 0, len(offs)
+		for _, f := range fs[:n] {
+			if f.Origin != capture.OriginNative || f.Time.Before(c.start) {
+				continue
 			}
-			if dests = c.dests[b]; dests == nil {
-				dests = map[string]int{}
-				c.dests[b] = dests
+			off := int(f.Time.Sub(c.start).Seconds()) / c.binSecs
+			offs = append(offs, min(off, c.nBins-1))
+			if hostN > 0 && f.Host != host {
+				dests = append(dests, fig5Dest{hostlist.RegistrableDomain(host), hostN})
+				hostN = 0
 			}
+			host = f.Host
+			hostN++
 		}
-		off := int(f.Time.Sub(c.start).Seconds()) / c.binSecs
-		if off >= c.nBins {
-			off = c.nBins - 1
+		if len(offs) > counted {
+			dests = append(dests, fig5Dest{hostlist.RegistrableDomain(host), hostN})
+			runs = append(runs, fig5Run{fs[0].Browser, len(offs), len(dests)})
 		}
-		bins[off]++
-		if hostN > 0 && f.Host != host {
-			dests[hostlist.RegistrableDomain(host)] += hostN
-			hostN = 0
-		}
-		host = f.Host
-		hostN++
-		total++
+		fs = fs[n:]
 	}
-	if total > 0 {
-		dests[hostlist.RegistrableDomain(host)] += hostN
-		c.total[b] += total
+	if len(runs) == 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	o, d := 0, 0
+	for _, r := range runs {
+		bins := c.bins[r.browser]
+		if bins == nil {
+			bins = make([]int, c.nBins)
+			c.bins[r.browser] = bins
+		}
+		byDomain := c.dests[r.browser]
+		if byDomain == nil {
+			byDomain = map[string]int{}
+			c.dests[r.browser] = byDomain
+		}
+		for _, off := range offs[o:r.offsEnd] {
+			bins[off]++
+		}
+		for _, dst := range dests[d:r.destsEnd] {
+			byDomain[dst.domain] += dst.n
+		}
+		c.total[r.browser] += r.offsEnd - o
+		o, d = r.offsEnd, r.destsEnd
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
 
 	"panoptes/internal/analysis"
 	"panoptes/internal/capture"
@@ -99,5 +100,33 @@ func TestSuiteReplayMatchesLive(t *testing.T) {
 	}
 	if rows := re.Fig2.Rows(); rows[0].Engine != 2 || rows[0].Native != 5 {
 		t.Errorf("replayed fig2 = %+v, want 2 engine and 5 native flows", rows)
+	}
+}
+
+// TestFig5FoldDoesNotAllocate: once a browser's bins and destinations
+// exist, folding a population-shaped visit (about 50 flows of one
+// browser, engine and native, runs of several hosts) resolves its bins
+// and registrable domains on the stack and only adds under the lock.
+func TestFig5FoldDoesNotAllocate(t *testing.T) {
+	start := time.Date(2023, 5, 12, 9, 0, 0, 0, time.UTC)
+	a := analysis.NewFig5Analyzer([]string{"Chrome"}, start, time.Hour, 10)
+	hosts := []string{"site.example", "t.vendor.example", "api.vendor.example", "cdn.vendor.co.uk", "ad.doubleclick.net"}
+	var visit []*capture.Flow
+	for i := 0; i < 50; i++ {
+		f := &capture.Flow{
+			Browser: "Chrome", Origin: capture.OriginNative, Host: hosts[1+i/4%4],
+			Time: start.Add(time.Duration(30+i) * time.Second),
+		}
+		if i%5 == 0 {
+			f.Origin, f.Host = capture.OriginEngine, hosts[0]
+		}
+		visit = append(visit, f)
+	}
+	a.ObserveAll(visit)
+	if got := a.Series()[0].Total; got != 40 {
+		t.Fatalf("total = %d native flows, want 40", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { a.ObserveAll(visit) }); n != 0 {
+		t.Fatalf("ObserveAll allocates %.1f times per visit", n)
 	}
 }

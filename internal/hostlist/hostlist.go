@@ -187,17 +187,23 @@ var multiLabelSuffixes = map[string]bool{
 // RegistrableDomain returns the eTLD+1 of a host: the unit the paper uses
 // to decide whether a native request's destination is third-party with
 // respect to the visited site (and to count "distinct domains" in Fig. 3).
+// It is the canonical host's substring after its second-to-last dot, or
+// after its third-to-last under a multi-label suffix, so a host already
+// in canonical form costs no allocation.
 func RegistrableDomain(host string) string {
 	h := canonical(host)
-	labels := strings.Split(h, ".")
-	if len(labels) <= 2 {
+	i := strings.LastIndexByte(h, '.')
+	if i < 0 {
 		return h
 	}
-	suffix2 := strings.Join(labels[len(labels)-2:], ".")
-	if multiLabelSuffixes[suffix2] && len(labels) >= 3 {
-		return strings.Join(labels[len(labels)-3:], ".")
+	j := strings.LastIndexByte(h[:i], '.')
+	if j < 0 {
+		return h
 	}
-	return suffix2
+	if multiLabelSuffixes[h[j+1:]] {
+		j = strings.LastIndexByte(h[:j], '.') // -1 keeps all of h
+	}
+	return h[j+1:]
 }
 
 // SameParty reports whether two hosts share a registrable domain.

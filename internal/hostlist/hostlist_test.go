@@ -154,6 +154,52 @@ func TestRegistrableDomain(t *testing.T) {
 	}
 }
 
+// registrableDomainSpec is the label-splitting definition that
+// RegistrableDomain's substring scan must reproduce.
+func registrableDomainSpec(host string) string {
+	h := canonical(host)
+	labels := strings.Split(h, ".")
+	if len(labels) <= 2 {
+		return h
+	}
+	suffix2 := strings.Join(labels[len(labels)-2:], ".")
+	if multiLabelSuffixes[suffix2] && len(labels) >= 3 {
+		return strings.Join(labels[len(labels)-3:], ".")
+	}
+	return suffix2
+}
+
+// FuzzRegistrableDomainVsSplit holds RegistrableDomain to its
+// label-splitting spec over arbitrary strings, empty labels, stray
+// dots and case included.
+func FuzzRegistrableDomainVsSplit(f *testing.F) {
+	for _, s := range []string{
+		"www.example.co.uk", "co.uk", ".co.uk", "a..co.uk", "x.y.com.cn.", " WWW.Example.COM ",
+		"single", "", ".", "..", "a.b.c.example.com", "stats.g.doubleclick.net",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, host string) {
+		if got, want := RegistrableDomain(host), registrableDomainSpec(host); got != want {
+			t.Fatalf("RegistrableDomain(%q) = %q, want %q", host, got, want)
+		}
+	})
+}
+
+// TestRegistrableDomainDoesNotAllocate: a canonical host's registrable
+// domain is a substring of it.
+func TestRegistrableDomainDoesNotAllocate(t *testing.T) {
+	hosts := []string{"single", "example.com", "api.browser.yandex.ru", "www.example.co.uk", "example.co.uk"}
+	n := testing.AllocsPerRun(100, func() {
+		for _, h := range hosts {
+			RegistrableDomain(h)
+		}
+	})
+	if n != 0 {
+		t.Fatalf("RegistrableDomain allocates %.1f times per run", n)
+	}
+}
+
 func TestThirdParty(t *testing.T) {
 	if ThirdParty("www.example.com", "cdn.example.com") {
 		t.Error("same registrable domain marked third-party")

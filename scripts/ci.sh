@@ -79,6 +79,9 @@ go test -run '^$' -fuzz FuzzJSONFieldsVsRegexp -fuzztime 10s ./internal/pii/
 echo "==> fuzz smoke: Aho-Corasick automaton vs naive substring search (10 s)"
 go test -run '^$' -fuzz FuzzMatchVsNaive -fuzztime 10s ./internal/match/
 
+echo "==> fuzz smoke: registrable-domain substring scan vs its split/join spec (10 s)"
+go test -run '^$' -fuzz FuzzRegistrableDomainVsSplit -fuzztime 10s ./internal/hostlist/
+
 echo "==> go test -race (sink, breaker: export dispatchers + shared breakers)"
 go test -race ./internal/sink/... ./internal/breaker/...
 
